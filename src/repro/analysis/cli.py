@@ -1,4 +1,4 @@
-"""Argument wiring shared by ``python -m repro lint`` and scripts/lint.py.
+"""Argument wiring for ``python -m repro lint``.
 
 ``add_lint_arguments`` attaches the option surface to any argparse
 parser (the repro CLI's ``lint`` subcommand reuses it verbatim);

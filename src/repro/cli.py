@@ -7,10 +7,6 @@ stats       Print Table-I-style statistics of a JSONL dataset.
 evaluate    Train a baseline on a freshly built dataset and report metrics.
 bench       Run one paper experiment (table1..table4, fig1, fig23, fig4,
             kappa, ablations).
-serve-bench Train a baseline, then benchmark the micro-batched
-            InferenceEngine against per-window scoring (throughput plus
-            p50/p90/p99 end-to-end latency and queue wait); with
-            --workers N, also a multi-process WorkerPool phase.
 metrics     Exercise the serving stack, then export telemetry as
             Prometheus exposition text or a JSON snapshot (or render a
             previously saved snapshot with --input).
@@ -123,108 +119,8 @@ def cmd_bench(args) -> int:
         "kappa": kappa_consistency.main,
         "ablations": ablations.main,
     }
-    if args.profile:
-        perf.reset()
     mains[args.experiment]()
-    if args.profile:
-        print()
-        print("perf profile")
-        print(perf.render())
-        out = perf.write_json(
-            args.profile_output, extra={"experiment": args.experiment}
-        )
-        print(f"wrote perf report to {out}")
     return 0
-
-
-def cmd_serve_bench(args) -> int:
-    from repro.serve import EngineConfig, run_serve_bench
-
-    result = build_dataset(_config(args))
-    splits = result.dataset.splits()
-    kwargs = {}
-    if args.model in ("roberta", "deberta"):
-        kwargs["pretrain_texts"] = result.dataset.pretrain_texts[:6000]
-        kwargs["pretrain_steps"] = args.pretrain_steps
-    from repro.models import create_model
-
-    model = create_model(args.model, **kwargs)
-    model.fit(splits.train, splits.validation)
-
-    bench = run_serve_bench(
-        model,
-        splits.test,
-        requests=args.requests,
-        config=EngineConfig(
-            max_batch_size=args.batch_size,
-            max_wait_s=args.max_wait_s,
-            num_workers=args.num_workers,
-        ),
-    )
-    print(f"serve-bench: model={args.model} requests={bench.requests} "
-          f"batch_size={args.batch_size}")
-    print(f"  per-window   {bench.before_throughput:10.1f} req/s "
-          f"({bench.before_s:.3f}s)")
-    print(f"  engine       {bench.after_throughput:10.1f} req/s "
-          f"({bench.after_s:.3f}s)")
-    print(f"  speedup      {bench.speedup:10.1f}x")
-    print(f"  async        {bench.async_throughput:10.1f} req/s "
-          f"({bench.async_s:.3f}s)")
-    print(f"  labels identical: {bench.labels_identical}   "
-          f"max prob diff: {bench.max_prob_diff:.2e}")
-    # A zero-sample run has count 0 and None quantiles; formatting them
-    # as 0.00ms would read as a perfect p99.
-    if bench.latency.get("count"):
-        lat, qw = bench.latency, bench.queue_wait
-        print(f"  latency      p50 {lat['p50_ms']:7.2f}ms  "
-              f"p90 {lat['p90_ms']:7.2f}ms  p99 {lat['p99_ms']:7.2f}ms  "
-              f"max {lat['max_ms']:7.2f}ms  (n={lat['count']})")
-        print(f"  queue wait   p50 {qw['p50_ms']:7.2f}ms  "
-              f"p90 {qw['p90_ms']:7.2f}ms  p99 {qw['p99_ms']:7.2f}ms  "
-              f"max {qw['max_ms']:7.2f}ms")
-    else:
-        print("  latency      (no samples — tracing disabled?)")
-    stats = bench.engine_stats
-    print(f"  batches: {stats['batches']}  "
-          f"mean batch: {stats['mean_batch_size']:.1f}  "
-          f"token cache hits: {stats['tokenization_cache']['hits']}  "
-          f"slow requests: {stats['traces']['slow']}")
-
-    pool_bench = None
-    if args.workers:
-        from repro.serve import PoolConfig, run_pool_bench
-
-        pool_bench = run_pool_bench(
-            model,
-            splits.test,
-            requests=args.requests,
-            config=PoolConfig(
-                num_workers=args.workers,
-                engine=EngineConfig(
-                    max_batch_size=args.batch_size,
-                    max_wait_s=args.max_wait_s,
-                    num_workers=args.num_workers,
-                ),
-            ),
-        )
-        print(f"  pool ({pool_bench.workers} proc) "
-              f"{pool_bench.pool_throughput:8.1f} req/s "
-              f"({pool_bench.pool_s:.3f}s)  "
-              f"speedup vs engine {pool_bench.speedup:.2f}x")
-        print(f"  pool labels identical: {pool_bench.labels_identical}   "
-              f"probs bitwise: {pool_bench.probs_bitwise_identical}   "
-              f"arena: {pool_bench.arena_nbytes / 1024:.0f} KiB")
-
-    if args.output:
-        extra = {"serve_bench": bench.as_dict()}
-        if pool_bench is not None:
-            extra["pool_bench"] = pool_bench.as_dict()
-        out = perf.write_json(args.output, extra=extra)
-        print(f"wrote serve bench report to {out}")
-    ok = bench.labels_identical and (
-        pool_bench is None or pool_bench.labels_identical
-    )
-    return 0 if ok else 1
 
 
 def _serve_exercise(args):
@@ -371,41 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["table1", "table2", "table3", "table4", "fig1", "fig23",
                  "fig4", "kappa", "ablations"],
     )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="print the perf span report and write it to --profile-output",
-    )
-    p_bench.add_argument(
-        "--profile-output", default="BENCH_PR1.json",
-        help="JSON file the perf report is merged into (default BENCH_PR1.json)",
-    )
     p_bench.set_defaults(func=cmd_bench)
-
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="benchmark micro-batched serving against per-window scoring",
-    )
-    _add_scale(p_serve)
-    p_serve.add_argument(
-        "--model", default="logreg",
-        choices=["xgboost", "bilstm", "higru", "roberta", "deberta", "logreg"],
-    )
-    p_serve.add_argument("--requests", type=int, default=256,
-                         help="total scoring requests (test windows, cycled)")
-    p_serve.add_argument("--batch-size", type=int, default=32,
-                         help="engine max_batch_size")
-    p_serve.add_argument("--max-wait-s", type=float, default=0.005,
-                         help="micro-batcher wait for stragglers")
-    p_serve.add_argument("--num-workers", type=int, default=1,
-                         help="threads executing coalesced batches")
-    p_serve.add_argument("--workers", type=int, default=0,
-                         help="also benchmark a WorkerPool with this many "
-                              "engine processes (0 = skip the pool phase)")
-    p_serve.add_argument("--pretrain-steps", type=int, default=100,
-                         help="MLM steps for the PLM models")
-    p_serve.add_argument("--output", default=None,
-                         help="merge results + perf report into this JSON")
-    p_serve.set_defaults(func=cmd_serve_bench)
 
     p_metrics = sub.add_parser(
         "metrics",
@@ -454,8 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         # REPRO_PERF=1 appends the span report to any command's output —
         # on error paths too (a failed run is exactly when the profile
-        # is needed); ``bench --profile`` prints it regardless.
-        if perf.enabled() and not getattr(args, "profile", False):
+        # is needed).
+        if perf.enabled():
             print()
             print("perf profile")
             print(perf.render())

@@ -45,14 +45,11 @@ class ModelState:
         return int(self.manifest["arena_nbytes"])
 
 
-def export_state(model: RiskModel, cast_float32: bool = False) -> ModelState:
+def export_state(model: RiskModel) -> ModelState:
     """Pack a fitted model into skeleton + manifest + weight arena.
 
-    ``cast_float32=True`` stores float64 weights as float32, halving
-    the arena at the cost of float32 rounding on import (import always
-    restores float64, so downstream numerics keep their dtype). The
-    accuracy delta is checked in ``scripts/bench_pr5.py``; float64 is
-    the default and preserves predictions bitwise.
+    Weights keep their dtype, so the rebuilt model predicts bitwise
+    identically to ``model``.
     """
     if not isinstance(model, RiskModel):
         raise ModelError(f"export_state expects a RiskModel, got {type(model).__name__}")
@@ -61,7 +58,7 @@ def export_state(model: RiskModel, cast_float32: bool = False) -> ModelState:
             f"{type(model).__name__} is not fitted — export_state ships "
             f"trained weights, not architectures"
         )
-    packed = arena.pack(model, cast_float32=cast_float32)
+    packed = arena.pack(model)
     manifest = dict(packed.manifest)
     manifest["state_version"] = STATE_VERSION
     manifest["model_class"] = type(model).__name__

@@ -11,7 +11,7 @@ three parts instead:
   ``multiprocessing.shared_memory`` segment and every worker maps the
   same physical pages.
 * **manifest** — a small JSON-able dict describing each slot (offset,
-  shape, dtype, stored dtype). Arrays are deduplicated by identity, so
+  size, shape, dtype). Arrays are deduplicated by identity, so
   tied weights stay tied after reconstruction.
 * **skeleton** — a pickle of the object graph with the arrays punched
   out (via the pickle ``persistent_id`` hook). Kilobytes, not
@@ -22,12 +22,7 @@ the caller's buffer — **zero-copy**: a worker attaching a 200 MB arena
 materialises no new weight memory. Views are marked read-only so a
 worker cannot scribble over pages shared with its siblings; pass
 ``copy=True`` to get private writable arrays (e.g. to keep training).
-
-Optional float32 cast (``cast_float32=True``) stores float64 slots as
-float32, halving the arena. Import casts back to float64 — that path
-copies (a cast cannot be a view) and perturbs weights by float32
-rounding; the serve bench gates it on an accuracy-delta check. This is
-the first step toward the ROADMAP quantization item.
+Every slot keeps its original dtype, so a round trip is bitwise.
 """
 
 from __future__ import annotations
@@ -70,7 +65,7 @@ def _align(offset: int) -> int:
     return (offset + ARENA_ALIGN - 1) // ARENA_ALIGN * ARENA_ALIGN
 
 
-def pack(obj, cast_float32: bool = False) -> PackedObject:
+def pack(obj) -> PackedObject:
     """Split ``obj`` into skeleton + manifest + contiguous weight arena.
 
     Every plain numeric ``ndarray`` reachable through pickling is
@@ -103,8 +98,6 @@ def pack(obj, cast_float32: bool = False) -> PackedObject:
     stored: list[np.ndarray] = []
     for arr in arrays:
         flat = np.ascontiguousarray(arr)
-        if cast_float32 and flat.dtype == np.float64:
-            flat = flat.astype(np.float32)
         offset = _align(offset)
         entries.append(
             {
@@ -112,7 +105,6 @@ def pack(obj, cast_float32: bool = False) -> PackedObject:
                 "nbytes": int(flat.nbytes),
                 "shape": list(arr.shape),
                 "dtype": arr.dtype.str,
-                "stored_dtype": flat.dtype.str,
             }
         )
         stored.append(flat)
@@ -128,7 +120,6 @@ def pack(obj, cast_float32: bool = False) -> PackedObject:
     manifest = {
         "format": "repro-arena",
         "version": 1,
-        "cast": "float32" if cast_float32 else "none",
         "arena_nbytes": int(offset),
         "entries": entries,
     }
@@ -144,9 +135,7 @@ def unpack(skeleton: bytes, manifest: dict, buffer, copy: bool = False):
     back as **views** into that buffer (read-only unless the buffer
     itself is immutable anyway); the caller must keep the buffer alive
     for the lifetime of the object. With ``copy=True`` every array is a
-    private writable copy and the buffer may be released. Slots whose
-    stored dtype differs from the original (float32 cast) are always
-    cast back, which copies.
+    private writable copy and the buffer may be released.
     """
     if manifest.get("format") != "repro-arena":
         raise ValueError("buffer manifest is not a repro-arena manifest")
@@ -159,14 +148,12 @@ def unpack(skeleton: bytes, manifest: dict, buffer, copy: bool = False):
             return cached
         entry = entries[idx]
         shape = tuple(entry["shape"])
-        stored_dtype = np.dtype(entry["stored_dtype"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         arr = np.frombuffer(
-            buffer, dtype=stored_dtype, count=count, offset=entry["offset"]
+            buffer, dtype=np.dtype(entry["dtype"]), count=count,
+            offset=entry["offset"],
         ).reshape(shape)
-        if entry["stored_dtype"] != entry["dtype"]:
-            arr = arr.astype(np.dtype(entry["dtype"]))  # cast-back copies
-        elif copy:
+        if copy:
             arr = arr.copy()
         # frombuffer views of immutable buffers are already read-only;
         # for writable buffers (shared memory) lock the view so one

@@ -23,14 +23,11 @@ The registry is always on — a span costs two ``perf_counter`` calls and
 a few dict/array updates on a lock-free per-thread shard — so library
 code can instrument unconditionally. Reporting is opt-in: the CLI
 prints the report after every command (including failed ones) when the
-``REPRO_PERF`` environment variable is set, and ``python -m repro bench
---profile`` additionally writes it to ``BENCH_PR1.json``. See
+``REPRO_PERF`` environment variable is set. See
 ``docs/observability.md`` and ``docs/performance.md``.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.perf.export import (
     json_snapshot,
@@ -66,7 +63,6 @@ __all__ = [
     "snapshot",
     "span",
     "validate_prometheus",
-    "write_json",
     "write_json_snapshot",
     "write_prometheus",
 ]
@@ -110,6 +106,3 @@ def snapshot() -> dict:
 def render() -> str:
     return _REGISTRY.render()
 
-
-def write_json(path: str | Path, extra: dict | None = None) -> Path:
-    return _REGISTRY.write_json(path, extra)

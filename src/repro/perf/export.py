@@ -132,7 +132,7 @@ def json_snapshot(registry, tracer=None, extra: dict | None = None) -> dict:
     ``perf`` holds the registry snapshot (spans/counters/observations/
     gauges); ``traces`` the tracer's ring stats and recent traces when a
     tracer is supplied. ``extra`` entries ride along at the top level
-    (reserved keys rejected, mirroring ``write_json``).
+    (reserved keys rejected).
     """
     if extra:
         reserved = {"perf", "traces"} & set(extra)

@@ -17,13 +17,11 @@ without any change at the ~30 existing ``perf.span`` call sites.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.perf.histogram import Histogram
 
@@ -267,32 +265,3 @@ class PerfRegistry:
         for name, value in sorted(gauges.items()):
             lines.append(f"{name:<42} gauge={value:g}")
         return "\n".join(lines)
-
-    def write_json(self, path: str | Path, extra: dict | None = None) -> Path:
-        """Write (or merge into) a JSON report file.
-
-        When ``path`` already holds a JSON object, the perf report is
-        merged under its ``"perf_report"`` key so benchmark metadata
-        written by other tools survives. ``extra`` must not contain a
-        ``"perf_report"`` key — silently clobbering the report it was
-        asked to write would defeat the call.
-        """
-        if extra and "perf_report" in extra:
-            raise ValueError(
-                "write_json: 'perf_report' is reserved for the registry's "
-                "own report; rename the extra key"
-            )
-        path = Path(path)
-        payload: dict = {}
-        if path.exists():
-            try:
-                existing = json.loads(path.read_text(encoding="utf-8"))
-                if isinstance(existing, dict):
-                    payload = existing
-            except (OSError, json.JSONDecodeError):
-                payload = {}
-        payload["perf_report"] = self.report()
-        if extra:
-            payload.update(extra)
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return path

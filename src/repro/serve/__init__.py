@@ -1,13 +1,6 @@
 """High-throughput model serving: micro-batched inference over the
 registry baselines. See :mod:`repro.serve.engine`."""
 
-from repro.serve.bench import (
-    PoolBenchResult,
-    ServeBenchResult,
-    latency_quantiles,
-    run_pool_bench,
-    run_serve_bench,
-)
 from repro.serve.engine import EngineConfig, InferenceEngine
 from repro.serve.pool import (
     PoolConfig,
@@ -19,13 +12,8 @@ from repro.serve.pool import (
 __all__ = [
     "EngineConfig",
     "InferenceEngine",
-    "PoolBenchResult",
     "PoolConfig",
     "PoolSaturatedError",
-    "ServeBenchResult",
     "WorkerCrashError",
     "WorkerPool",
-    "latency_quantiles",
-    "run_pool_bench",
-    "run_serve_bench",
 ]

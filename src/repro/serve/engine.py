@@ -9,9 +9,9 @@ overhead — python dispatch, feature/tokenization setup, tiny gemms. The
 * **dynamic micro-batching** — asynchronous ``submit`` requests queue up
   and a batcher thread coalesces them into batches of up to
   ``max_batch_size``, waiting at most ``max_wait_s`` after the first
-  request so latency stays bounded under light load; ``num_workers``
-  threads execute the coalesced batches (BLAS releases the GIL, so
-  workers overlap on multi-core hosts);
+  request so latency stays bounded under light load; one worker thread
+  executes the coalesced batches, so the next batch assembles while the
+  previous one runs;
 * **a bounded LRU tokenization cache** — users repost and windows
   overlap, so per-post token encodings are memoised (and bounded, unlike
   a bare dict, so long-running processes don't leak);
@@ -21,8 +21,8 @@ overhead — python dispatch, feature/tokenization setup, tiny gemms. The
 All scoring runs under :func:`repro.nn.no_grad`, and every stage is
 instrumented through ``repro.perf``: ``serve.*`` spans/counters, gauges
 (queue depth, in-flight batches, tokenization-cache occupancy),
-per-request latency/queue-wait histograms, and — on the async path — a
-full lifecycle *trace* per request (enqueue → batch_assembly →
+per-request latency/queue-wait histograms, and — on every async
+request — a full lifecycle *trace* (enqueue → batch_assembly →
 tokenize → forward → scatter → complete) kept in a bounded ring buffer,
 with requests over ``slow_threshold_s`` appended to a JSONL slow log.
 See ``docs/observability.md``.
@@ -62,16 +62,10 @@ class EngineConfig:
         queued request before dispatching a partial batch.
     tokenization_cache_size:
         LRU budget (distinct post texts) for the tokenization cache.
-    num_workers:
-        Threads executing coalesced batches. BLAS kernels release the
-        GIL, so >1 overlaps batch compute under concurrent traffic.
-    tracing:
-        Trace every async request's lifecycle (six timestamped events)
-        and feed the per-request latency/queue-wait histograms. Cheap
-        enough to leave on (see BENCH_PR3.json); disable only to shave
-        the last percent off a bulk benchmark.
     trace_ring_size:
-        How many finished traces the in-memory ring retains.
+        How many finished traces the in-memory ring retains. Every
+        async request is traced (six timestamped events) and feeds the
+        per-request latency/queue-wait histograms.
     slow_threshold_s:
         Requests at/over this end-to-end latency are counted as slow
         and appended to ``slow_log_path``.
@@ -83,8 +77,6 @@ class EngineConfig:
     max_batch_size: int = 32
     max_wait_s: float = 0.005
     tokenization_cache_size: int = 8192
-    num_workers: int = 1
-    tracing: bool = True
     trace_ring_size: int = 256
     slow_threshold_s: float = 1.0
     slow_log_path: str | None = None
@@ -94,8 +86,6 @@ class EngineConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_wait_s < 0:
             raise ValueError("max_wait_s must be >= 0")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         if self.trace_ring_size < 1:
             raise ValueError("trace_ring_size must be >= 1")
         if self.slow_threshold_s < 0:
@@ -145,14 +135,10 @@ class InferenceEngine:
             target=self._batch_loop, name="serve-batcher", daemon=True
         )
         self._batcher.start()
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, name=f"serve-worker-{i}", daemon=True
-            )
-            for i in range(self.config.num_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._worker = threading.Thread(
+            target=self._worker_loop, name="serve-worker", daemon=True
+        )
+        self._worker.start()
 
     # -- tokenization cache ------------------------------------------------
 
@@ -222,17 +208,14 @@ class InferenceEngine:
     def submit(self, window: PostWindow) -> Future:
         """Queue one window; resolves to its (C,) probability vector.
 
-        When tracing is on, the request's trace is exposed as
-        ``future.trace`` so callers can correlate results with their
-        lifecycle timings.
+        The request's trace is exposed as ``future.trace`` so callers
+        can correlate results with their lifecycle timings.
         """
         self._ensure_open()
         future: Future = Future()
-        trace: Trace | None = None
-        if self.config.tracing:
-            trace = self.tracer.start()
-            trace.event("enqueue")
-            future.trace = trace  # type: ignore[attr-defined]
+        trace = self.tracer.start()
+        trace.event("enqueue")
+        future.trace = trace  # type: ignore[attr-defined]
         self._queue.put((window, future, trace))
         perf.count("serve.requests")
         perf.gauge("serve.queue_depth", self._queue.qsize())
@@ -270,11 +253,8 @@ class InferenceEngine:
             self._dispatch(batch)
 
     def _dispatch(self, batch: list) -> None:
-        """Hand an assembled batch to the workers, stamping traces."""
-        now = time.perf_counter()
-        for _, _, trace in batch:
-            if trace is not None:
-                trace.event("batch_assembly", now)
+        """Hand an assembled batch to the worker."""
+        self._stamp(batch, "batch_assembly")
         with self._lock:
             self._in_flight += 1
             in_flight = self._in_flight
@@ -292,19 +272,17 @@ class InferenceEngine:
     def _stamp(self, batch: list, name: str) -> None:
         now = time.perf_counter()
         for _, _, trace in batch:
-            if trace is not None:
-                trace.event(name, now)
+            trace.event(name, now)
 
     def _run_batch(
-        self, batch: list[tuple[PostWindow, Future, Trace | None]]
+        self, batch: list[tuple[PostWindow, Future, Trace]]
     ) -> None:
         windows = [window for window, _, _ in batch]
         try:
             with perf.span("serve.batch"):
                 with no_grad():
                     self._stamp(batch, "tokenize")
-                    if self.config.tracing:
-                        self._warm_tokenization(windows)
+                    self._warm_tokenization(windows)
                     self._stamp(batch, "forward")
                     probs = self.model.predict_proba(windows)
             self._stamp(batch, "scatter")
@@ -339,8 +317,6 @@ class InferenceEngine:
 
     def _finish_traces(self, batch: list, batch_size: int) -> None:
         for _, _, trace in batch:
-            if trace is None:
-                continue
             trace.event("complete")
             trace.metadata["batch_size"] = batch_size
             self.tracer.finish(trace)
@@ -393,12 +369,10 @@ class InferenceEngine:
             self._closed = True
         self._queue.put(_SHUTDOWN)
         self._batcher.join(timeout=5.0)
-        # The batcher has stopped producing; let the workers drain the
-        # batch queue, then stop them.
-        for _ in self._workers:
-            self._batch_queue.put(_SHUTDOWN)
-        for worker in self._workers:
-            worker.join(timeout=5.0)
+        # The batcher has stopped producing; let the worker drain the
+        # batch queue, then stop it.
+        self._batch_queue.put(_SHUTDOWN)
+        self._worker.join(timeout=5.0)
         # Fail any request that raced the shutdown sentinel.
         while True:
             try:

@@ -16,8 +16,8 @@ queue:
 * **single-engine contract** — ``predict_many`` shards its input into
   chunks aligned to ``engine.max_batch_size``, so every worker scores
   exactly the batches the single engine would have scored: labels are
-  bitwise-identical and probabilities match to summation-order noise
-  (bitwise in the default float64 mode; see tests/serve/test_pool.py);
+  bitwise-identical and so are the float64 probabilities (see
+  tests/serve/test_pool.py);
 * **crash propagation** — a collector thread watches worker liveness;
   an unexpected worker death marks the pool *broken* and fails every
   in-flight ``Future`` with :class:`WorkerCrashError` instead of
@@ -33,8 +33,9 @@ queue:
   :func:`repro.perf.export.merge_snapshots` (per-worker gauges
   namespaced ``pool.worker<i>.*``).
 
-Lifecycle: construct → ``predict_many``/``submit`` → ``close()`` (or
-use as a context manager). ``close()`` sends stop sentinels, collects
+Workers always start with ``spawn``, which is safe regardless of the
+parent's threads. Lifecycle: construct → ``predict_many``/``submit`` →
+``close()`` (or use as a context manager). ``close()`` sends stop sentinels, collects
 worker snapshots, joins processes, then unlinks the shared segment.
 """
 
@@ -68,9 +69,6 @@ __all__ = [
     "WorkerPool",
 ]
 
-_START_METHODS = ("spawn", "fork", "forkserver")
-
-
 class WorkerCrashError(RuntimeError):
     """A worker process died unexpectedly; the pool is broken."""
 
@@ -86,8 +84,8 @@ class PoolConfig:
     num_workers:
         Engine processes to spawn. Throughput scales with physical
         cores; on a single-core host the pool adds IPC overhead for no
-        parallelism (``scripts/bench_pr5.py`` records ``cpu_count``
-        next to its numbers for exactly this reason).
+        parallelism (``repobench`` reports ``serve.pool_windows_per_s``
+        with ``nproc`` workers, next to the host's CPU count).
     engine:
         :class:`EngineConfig` used by every worker's local engine. Its
         ``max_batch_size`` also fixes the pool's ``predict_many``
@@ -96,14 +94,6 @@ class PoolConfig:
     max_pending:
         Bound on queued (submitted, not yet collected) requests —
         the backpressure knob.
-    cast_float32:
-        Export weights as float32 (half the shared segment; float64 is
-        restored on import). Off by default: float32 rounding perturbs
-        probabilities, see the accuracy-delta gate in the bench.
-    start_method:
-        ``multiprocessing`` start method. ``spawn`` is the default —
-        safe regardless of parent threads; ``fork`` starts faster but
-        inherits the parent's thread-unsafe state.
     startup_timeout_s / shutdown_timeout_s:
         How long to wait for workers to come up / drain before the
         pool gives up (startup) or terminates them (shutdown).
@@ -112,8 +102,6 @@ class PoolConfig:
     num_workers: int = 2
     engine: EngineConfig = field(default_factory=EngineConfig)
     max_pending: int = 256
-    cast_float32: bool = False
-    start_method: str = "spawn"
     startup_timeout_s: float = 120.0
     shutdown_timeout_s: float = 10.0
 
@@ -122,11 +110,6 @@ class PoolConfig:
             raise ValueError("num_workers must be >= 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.start_method not in _START_METHODS:
-            raise ValueError(
-                f"start_method must be one of {_START_METHODS}, "
-                f"got {self.start_method!r}"
-            )
         if self.startup_timeout_s <= 0 or self.shutdown_timeout_s <= 0:
             raise ValueError("timeouts must be > 0")
 
@@ -231,7 +214,7 @@ class WorkerPool:
             raise ModelError("WorkerPool needs exactly one of model= or state=")
         self.config = config or PoolConfig()
         if state is None:
-            state = export_state(model, cast_float32=self.config.cast_float32)
+            state = export_state(model)
         self.manifest = state.manifest
 
         self._lock = threading.Lock()
@@ -258,7 +241,7 @@ class WorkerPool:
             # shm.buf here, so close()/unlink() later cannot hit a
             # BufferError from a lingering export.
             self._shm.buf[: state.arena.nbytes] = state.arena.tobytes()
-            ctx = multiprocessing.get_context(self.config.start_method)
+            ctx = multiprocessing.get_context("spawn")
             self._request_q = ctx.Queue(maxsize=self.config.max_pending)
             self._result_q = ctx.Queue()
             self._processes = [
@@ -344,8 +327,8 @@ class WorkerPool:
         Shards are cut at ``engine.max_batch_size`` boundaries — the
         same batch composition the single engine's ``predict_many``
         would use — so per-window results are bitwise-identical to one
-        engine in float64 mode (each batch's forward pass sees exactly
-        the same operands in the same order).
+        engine (each batch's forward pass sees exactly the same operands
+        in the same order).
         """
         self._ensure_open()
         if not windows:
@@ -495,7 +478,6 @@ class WorkerPool:
             "errors": errors,
             "broken": broken,
             "arena_nbytes": int(self.manifest["arena_nbytes"]),
-            "cast": self.manifest["cast"],
         }
 
     @property

@@ -107,7 +107,7 @@ def test_syntax_error_becomes_parse_finding(tmp_path):
 def test_module_name_inference():
     assert module_name("src/repro/serve/engine.py") == "repro.serve.engine"
     assert module_name("src/repro/perf/export.py") == "repro.perf.export"
-    assert module_name("scripts/lint.py") is None
+    assert module_name("scripts/calibrate.py") is None
 
 
 def test_findings_are_sorted_by_path_line_rule(tmp_path):

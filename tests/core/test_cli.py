@@ -18,15 +18,8 @@ class TestParser:
     def test_bench_choices(self):
         args = build_parser().parse_args(["bench", "table1"])
         assert args.experiment == "table1"
-        assert args.profile is False
-        assert args.profile_output == "BENCH_PR1.json"
-
-    def test_bench_profile_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "table1", "--profile", "--profile-output", "out.json"]
-        )
-        assert args.profile is True
-        assert args.profile_output == "out.json"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "table1", "--profile"])
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -69,34 +62,24 @@ class TestCommands:
         assert main(["datacard", str(out)]) == 0
         assert "## Composition" in capsys.readouterr().out
 
-    def test_bench_profile_writes_report(self, tmp_path, capsys, monkeypatch):
-        import json
-
+    def test_perf_env_prints_report(self, tmp_path, capsys, monkeypatch):
         from repro import perf
         from repro.experiments import table1_distribution
+
+        monkeypatch.setenv("REPRO_PERF", "1")
+        out = tmp_path / "ds.jsonl"
+        assert main(["build", "--scale", "0.02", "--output", str(out)]) == 0
+        assert "perf profile" in capsys.readouterr().out
 
         def fake_main():
             with perf.span("fake-experiment"):
                 pass
 
         monkeypatch.setattr(table1_distribution, "main", fake_main)
-        out = tmp_path / "bench.json"
-        code = main(
-            ["bench", "table1", "--profile", "--profile-output", str(out)]
-        )
-        assert code == 0
+        assert main(["bench", "table1"]) == 0
         printed = capsys.readouterr().out
-        assert "perf profile" in printed
+        assert printed.count("perf profile") == 1
         assert "fake-experiment" in printed
-        payload = json.loads(out.read_text())
-        assert "fake-experiment" in payload["perf_report"]
-        assert payload["experiment"] == "table1"
-
-    def test_perf_env_prints_report(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_PERF", "1")
-        out = tmp_path / "ds.jsonl"
-        assert main(["build", "--scale", "0.02", "--output", str(out)]) == 0
-        assert "perf profile" in capsys.readouterr().out
 
     def test_perf_report_printed_on_error_path(self, capsys, monkeypatch):
         """A failing command must still print the REPRO_PERF report —
@@ -115,7 +98,7 @@ class TestCommands:
         with pytest.raises(RuntimeError, match="mid-command failure"):
             main(["bench", "table1"])
         printed = capsys.readouterr().out
-        assert "perf profile" in printed
+        assert printed.count("perf profile") == 1
         assert "doomed-experiment" in printed
 
 

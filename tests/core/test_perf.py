@@ -1,6 +1,5 @@
 """Tests for the hierarchical perf span/counter registry."""
 
-import json
 import threading
 
 import pytest
@@ -134,35 +133,6 @@ class TestThreadSafety:
         paths = set(reg.stats())
         assert "main" in paths
         assert "held/main" not in paths
-
-
-class TestWriteJson:
-    def test_writes_report(self, tmp_path):
-        reg = PerfRegistry(clock=FakeClock())
-        with reg.span("x"):
-            pass
-        out = reg.write_json(tmp_path / "bench.json", extra={"scale": 0.05})
-        payload = json.loads(out.read_text())
-        assert "x" in payload["perf_report"]
-        assert payload["scale"] == 0.05
-
-    def test_extra_cannot_clobber_perf_report(self, tmp_path):
-        reg = PerfRegistry(clock=FakeClock())
-        with reg.span("x"):
-            pass
-        with pytest.raises(ValueError, match="perf_report"):
-            reg.write_json(tmp_path / "bench.json", extra={"perf_report": {}})
-
-    def test_merges_into_existing_file(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"benchmarks": {"warm": 1.0}}))
-        reg = PerfRegistry(clock=FakeClock())
-        with reg.span("y"):
-            pass
-        reg.write_json(path)
-        payload = json.loads(path.read_text())
-        assert payload["benchmarks"] == {"warm": 1.0}
-        assert "y" in payload["perf_report"]
 
 
 class TestModuleLevelApi:

@@ -1,4 +1,4 @@
-"""Fast perf sanity checks (``-m perf_smoke``; scripts/bench_smoke.py).
+"""Fast perf sanity checks (``pytest -m perf_smoke``).
 
 Each test times a vectorized kernel against its ``_reference`` twin on a
 workload large enough that the vectorized path should win comfortably; the

@@ -1,4 +1,4 @@
-"""Arena pack/unpack: zero-copy views, dedup, alignment, float32 cast."""
+"""Arena pack/unpack: zero-copy views, dedup, alignment."""
 
 import json
 import pickle
@@ -100,22 +100,6 @@ class TestManifest:
         assert packed.manifest["entries"] == []
         out = unpack(packed.skeleton, packed.manifest, packed.arena)
         assert list(out["objs"]) == [1, "x"]
-
-
-class TestFloat32Cast:
-    def test_halves_float64_slots_and_restores_dtype(self):
-        data = np.linspace(0.0, 1.0, 64)
-        full = pack({"w": data})
-        cast = pack({"w": data}, cast_float32=True)
-        assert cast.nbytes < full.nbytes
-        out = unpack(cast.skeleton, cast.manifest, cast.arena)
-        assert out["w"].dtype == np.float64
-        np.testing.assert_allclose(out["w"], data, rtol=1e-6)
-
-    def test_non_float64_slots_untouched(self):
-        cast = pack({"i": np.arange(4, dtype=np.int64)}, cast_float32=True)
-        (entry,) = cast.manifest["entries"]
-        assert entry["stored_dtype"] == entry["dtype"]
 
 
 class TestTensorPickling:

@@ -1,12 +1,14 @@
 """InferenceEngine: batching, caching, lifecycle, output integrity."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro import perf
 from repro.core.errors import ModelError
 from repro.models import create_model
-from repro.serve import EngineConfig, InferenceEngine, run_serve_bench
+from repro.serve import EngineConfig, InferenceEngine
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +29,12 @@ def test_config_validation():
         EngineConfig(max_batch_size=0)
     with pytest.raises(ValueError):
         EngineConfig(max_wait_s=-1.0)
-    with pytest.raises(ValueError):
-        EngineConfig(num_workers=0)
 
 
 def test_multiple_workers_match_direct(fitted_logreg, small_splits):
     windows = small_splits.test
     direct = fitted_logreg.predict_proba(windows)
-    config = EngineConfig(max_batch_size=2, max_wait_s=0.01, num_workers=3)
+    config = EngineConfig(max_batch_size=2, max_wait_s=0.01)
     with InferenceEngine(fitted_logreg, config) as eng:
         futures = [eng.submit(w) for w in windows]
         rows = np.vstack([f.result(timeout=10.0) for f in futures])
@@ -132,6 +132,7 @@ class TestTracing:
             traces = eng.recent_traces()
         assert len(traces) == 1
         trace = traces[0]
+        assert future.trace.trace_id == trace["trace_id"]
         names = [e["name"] for e in trace["events"]]
         assert names == list(LIFECYCLE_EVENTS)
         times = [e["t_ms"] for e in trace["events"]]
@@ -178,16 +179,6 @@ class TestTracing:
         times = [e["t_ms"] for e in entry["events"]]
         assert times == sorted(times)
         assert entry["total_ms"] >= 20.0
-
-    def test_tracing_disabled_records_nothing(
-        self, fitted_logreg, small_splits
-    ):
-        config = EngineConfig(tracing=False)
-        with InferenceEngine(fitted_logreg, config) as eng:
-            future = eng.submit(small_splits.test[0])
-            future.result(timeout=10.0)
-            assert eng.recent_traces() == []
-            assert eng.stats()["traces"]["finished"] == 0
 
     def test_latency_observations_feed_registry(
         self, fitted_logreg, small_splits
@@ -246,20 +237,30 @@ def test_tokenization_cache_restored_after_close(small_splits, small_dataset):
 
 @pytest.mark.perf_smoke
 def test_engine_throughput_beats_per_window(fitted_logreg, small_splits):
-    # Best of three: single-shot wall-clock ratios flake under CPU
-    # contention; the batching advantage itself is stable.
-    results = [
-        run_serve_bench(
-            fitted_logreg,
-            small_splits.test,
-            requests=128,
-            config=EngineConfig(max_batch_size=32),
-        )
-        for _ in range(3)
-    ]
-    assert all(r.labels_identical for r in results)
-    assert all(r.max_prob_diff < 1e-9 for r in results)
-    assert max(r.speedup for r in results) > 1.2
+    """Batched ``predict_many`` beats one ``predict_proba`` per window
+    on the same cycled traffic, with the same answers."""
+    windows = small_splits.test
+    traffic = [windows[i % len(windows)] for i in range(128)]
+    speedups = []
+    with InferenceEngine(fitted_logreg, EngineConfig(max_batch_size=32)) as eng:
+        eng.predict_many(traffic[:1])  # first-touch costs outside the clock
+        # Best of three: single-shot wall-clock ratios flake under CPU
+        # contention; the batching advantage itself is stable.
+        for _ in range(3):
+            start = time.perf_counter()
+            before = np.vstack(
+                [fitted_logreg.predict_proba([w]) for w in traffic]
+            )
+            before_s = time.perf_counter() - start
+            start = time.perf_counter()
+            after = eng.predict_many(traffic)
+            after_s = time.perf_counter() - start
+            np.testing.assert_array_equal(
+                before.argmax(axis=1), after.argmax(axis=1)
+            )
+            assert float(np.abs(before - after).max()) < 1e-9
+            speedups.append(before_s / after_s)
+    assert max(speedups) > 1.2
 
 
 @pytest.mark.perf_smoke

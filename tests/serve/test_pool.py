@@ -1,6 +1,6 @@
 """WorkerPool: output integrity, crash propagation, backpressure, telemetry.
 
-Uses the ``spawn`` start method throughout (the pool's default), so the
+Workers start with ``spawn`` (the pool's only start method), so the
 helper model classes here must be importable by worker processes —
 they live at module top level for exactly that reason.
 """
@@ -21,7 +21,6 @@ from repro.serve import (
     PoolSaturatedError,
     WorkerCrashError,
     WorkerPool,
-    run_pool_bench,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -74,8 +73,6 @@ class TestConfig:
             PoolConfig(num_workers=0)
         with pytest.raises(ValueError):
             PoolConfig(max_pending=0)
-        with pytest.raises(ValueError):
-            PoolConfig(start_method="teleport")
         with pytest.raises(ValueError):
             PoolConfig(startup_timeout_s=0)
 
@@ -230,15 +227,19 @@ class TestTelemetry:
 
 @pytest.mark.perf_smoke
 def test_pool_smoke_bench(fitted_logreg, small_splits):
-    """End-to-end pool bench on real traffic: integrity + liveness."""
-    result = run_pool_bench(
-        fitted_logreg,
-        list(small_splits.test),
-        requests=48,
-        config=PoolConfig(num_workers=2, engine=EngineConfig(max_batch_size=8)),
-    )
-    assert result.labels_identical
-    assert result.probs_bitwise_identical  # float64 mode
-    assert result.pool_throughput > 0
-    assert result.latency["count"] > 0
-    assert result.arena_nbytes > 0
+    """End-to-end pool run on real traffic: integrity + liveness."""
+    windows = list(small_splits.test)
+    traffic = [windows[i % len(windows)] for i in range(48)]
+    config = PoolConfig(num_workers=2, engine=EngineConfig(max_batch_size=8))
+    with InferenceEngine(fitted_logreg, config.engine) as engine:
+        single = engine.predict_many(traffic)
+    with WorkerPool(fitted_logreg, config) as pool:
+        pooled = pool.predict_many(traffic, timeout=300.0)
+        stats = pool.stats()
+    np.testing.assert_array_equal(pooled.argmax(axis=1), single.argmax(axis=1))
+    np.testing.assert_array_equal(pooled, single)  # float64, bitwise
+    latency = pool.merged_telemetry(include_parent=True)["observations"][
+        "serve.pool.request.latency_seconds"
+    ]
+    assert latency["hist"]["count"] > 0
+    assert stats["arena_nbytes"] > 0
