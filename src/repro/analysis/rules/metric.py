@@ -15,7 +15,7 @@ it enforces the repo's naming style — lowercase dotted
 metric namespace greppable without failing the build.
 
 Only literal first arguments are checked; dynamic names are runtime's
-problem (``write_prometheus`` validates before writing).
+problem (the ``metrics`` CLI validates its output before writing it).
 """
 
 from __future__ import annotations

@@ -5,18 +5,16 @@ scale and seed), so a sha256 fingerprint of the canonicalised config plus a
 cache schema version addresses one on-disk entry per distinct build:
 
     $REPRO_CACHE_DIR/<key[:2]>/<key>/
-        dataset.jsonl   released posts + labels (the standard serialisation)
-        pretrain.npz    unannotated background texts
-        stages.pkl      corpus / campaign / report + oracle-label sidecar
+        build.pkl       the whole BuildResult, pickled
         meta.json       schema version, fingerprint, kappa, build report
 
-``dataset.jsonl`` and ``pretrain.npz`` reuse the existing release
-serialisation; the JSONL schema intentionally drops the simulation-only
-``oracle_label``, so ``stages.pkl`` carries it (the experiments that audit
-annotation quality need it back). Entries are written to a temp directory
-and renamed into place, so readers never see a partial entry. Any change to
-the on-disk layout must bump :data:`SCHEMA_VERSION`, which invalidates every
-existing entry.
+``build.pkl`` restores the dataset exactly as built, including the
+simulation-only ``oracle_label`` that the JSONL release drops (the
+experiments that audit annotation quality need it). ``meta.json`` is a
+human-readable summary and the schema gate. Entries are written to a temp
+directory and renamed into place, so readers never see a partial entry. Any
+change to the on-disk layout, or to the pickled classes, must bump
+:data:`SCHEMA_VERSION`, which invalidates every existing entry.
 
 The cache is opt-in: it is disabled unless ``REPRO_CACHE_DIR`` is set (or a
 :class:`BuildCache` is passed explicitly). Corrupt or stale entries are
@@ -36,18 +34,15 @@ from datetime import datetime
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from repro import perf
 from repro.core.config import AnnotationConfig, CorpusConfig
-from repro.core.dataset import RSD15K
 from repro.core.pipeline import BuildResult, build_dataset
 
 #: Environment variable naming the cache root; unset disables the cache.
 CACHE_ENV = "REPRO_CACHE_DIR"
 
 #: Bump on any change to the entry layout or the fingerprint payload.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # -- fingerprinting -----------------------------------------------------------
@@ -125,26 +120,11 @@ class BuildCache:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
             if meta.get("schema") != SCHEMA_VERSION:
                 return None
-            dataset = RSD15K.from_jsonl(
-                entry / "dataset.jsonl", kappa=meta.get("kappa")
-            )
-            with np.load(entry / "pretrain.npz", allow_pickle=False) as npz:
-                dataset.pretrain_texts = [str(t) for t in npz["texts"]]
-            with open(entry / "stages.pkl", "rb") as handle:
-                stages = pickle.load(handle)
-            # from_jsonl conflates oracle and campaign labels (the release
-            # schema has no oracle column); restore the simulation truth.
-            oracle = stages["oracle_labels"]
-            dataset.posts = [
-                dataclasses.replace(p, oracle_label=oracle.get(p.post_id))
-                for p in dataset.posts
-            ]
-            return BuildResult(
-                dataset=dataset,
-                corpus=stages["corpus"],
-                campaign=stages["campaign"],
-                report=stages["report"],
-            )
+            with open(entry / "build.pkl", "rb") as handle:
+                result = pickle.load(handle)
+            if not isinstance(result, BuildResult):
+                raise TypeError(f"build.pkl holds a {type(result).__name__}")
+            return result
         except Exception:
             # Deliberate degradation: a corrupt/stale entry is a cache
             # miss and the build below rewrites it — but count the event
@@ -159,24 +139,8 @@ class BuildCache:
         if tmp.exists():
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
-        result.dataset.to_jsonl(tmp / "dataset.jsonl")
-        np.savez_compressed(
-            tmp / "pretrain.npz",
-            texts=np.asarray(result.dataset.pretrain_texts, dtype=np.str_),
-        )
-        with open(tmp / "stages.pkl", "wb") as handle:
-            pickle.dump(
-                {
-                    "corpus": result.corpus,
-                    "campaign": result.campaign,
-                    "report": result.report,
-                    "oracle_labels": {
-                        p.post_id: p.oracle_label for p in result.dataset.posts
-                    },
-                },
-                handle,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+        with open(tmp / "build.pkl", "wb") as handle:
+            pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
         meta = {
             "schema": SCHEMA_VERSION,
             "key": key,

@@ -67,7 +67,7 @@ class LRUCache:
 
     def __getstate__(self) -> dict[str, Any]:
         # Locks are process-local; a pickled cache (e.g. riding inside a
-        # model skeleton handed to a worker process) gets a fresh one.
+        # model pickled for a serving worker process) gets a fresh one.
         with self._lock:
             state = self.__dict__.copy()
             state["_data"] = self._data.copy()

@@ -27,7 +27,6 @@ from repro.models.registry import (
     register_model,
 )
 from repro.models.roberta import RobertaRiskModel, RobertaRiskNetwork
-from repro.models.state import ModelState, export_state, import_state
 from repro.models.xgboost_baseline import XGBoostBaseline
 
 __all__ = [
@@ -60,7 +59,4 @@ __all__ = [
     "RobertaRiskModel",
     "RobertaRiskNetwork",
     "XGBoostBaseline",
-    "ModelState",
-    "export_state",
-    "import_state",
 ]

@@ -86,6 +86,14 @@ class TextPipeline:
             raise RuntimeError("TextPipeline.encode_texts before fit")
         return [self.encode_post(text) for text in texts]
 
+    def __getstate__(self) -> dict:
+        # An open InferenceEngine shadows ``encode_post`` with a caching
+        # closure over its process-local LRU; pickle the pipeline without
+        # it, so the copy encodes through the method.
+        state = self.__dict__.copy()
+        state.pop("encode_post", None)
+        return state
+
     def encode_post(self, text: str) -> list[int]:
         tokens = self._tokenizer(text)[: self.max_tokens_per_post]
         ids = self.vocab.encode(tokens)

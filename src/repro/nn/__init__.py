@@ -1,6 +1,5 @@
 """A small numpy autograd/NN framework (the paper's "PyTorch" substrate)."""
 
-from repro.nn.arena import ARENA_ALIGN, PackedObject, pack, unpack
 from repro.nn.attention import (
     DisentangledSelfAttention,
     MultiHeadAttention,
@@ -35,7 +34,6 @@ from repro.nn.optim import (
     clip_grad_norm,
 )
 from repro.nn.rnn import GRU, GRUCell, LSTM, LSTMCell
-from repro.nn.serialize import load_checkpoint, save_checkpoint
 from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
 from repro.nn.transformer import (
     DisentangledTransformerEncoder,
@@ -46,10 +44,6 @@ from repro.nn.transformer import (
 )
 
 __all__ = [
-    "ARENA_ALIGN",
-    "PackedObject",
-    "pack",
-    "unpack",
     "DisentangledSelfAttention",
     "MultiHeadAttention",
     "TemporalDecayAttention",
@@ -83,8 +77,6 @@ __all__ = [
     "GRUCell",
     "LSTM",
     "LSTMCell",
-    "load_checkpoint",
-    "save_checkpoint",
     "Tensor",
     "is_grad_enabled",
     "no_grad",

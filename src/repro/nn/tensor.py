@@ -163,8 +163,8 @@ class Tensor:
     # Autograd state is graph- and process-local: ``_backward`` closures
     # capture intermediate arrays and cannot (and should not) cross a
     # pickle boundary. A Tensor round-trips as a leaf — data, grad flag,
-    # name — which is exactly what weight handoff to worker processes
-    # needs (see repro.nn.arena).
+    # name — which is exactly what handing a pickled model to serving
+    # worker processes needs (see repro.serve.pool).
 
     def __getstate__(self):
         return (self.data, self.requires_grad, self.name)

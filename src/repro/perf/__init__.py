@@ -34,8 +34,6 @@ from repro.perf.export import (
     merge_snapshots,
     render_prometheus,
     validate_prometheus,
-    write_json_snapshot,
-    write_prometheus,
 )
 from repro.perf.histogram import Histogram
 from repro.perf.registry import PERF_ENV, PerfRegistry, PerfStat, enabled
@@ -63,8 +61,6 @@ __all__ = [
     "snapshot",
     "span",
     "validate_prometheus",
-    "write_json_snapshot",
-    "write_prometheus",
 ]
 
 _REGISTRY = PerfRegistry()

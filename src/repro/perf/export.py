@@ -26,18 +26,14 @@ ending at ``+Inf``, and ``_count`` consistent with the ``+Inf`` bucket.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from pathlib import Path
 
 __all__ = [
     "json_snapshot",
     "merge_snapshots",
     "render_prometheus",
     "validate_prometheus",
-    "write_json_snapshot",
-    "write_prometheus",
 ]
 
 _PREFIX = "repro"
@@ -364,21 +360,3 @@ def validate_prometheus(text: str) -> dict:
             )
     return samples
 
-
-def write_prometheus(registry, path: str | Path) -> Path:
-    """Render the registry to ``path`` (validated before writing)."""
-    text = render_prometheus(registry.snapshot())
-    validate_prometheus(text)
-    path = Path(path)
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-def write_json_snapshot(
-    registry, path: str | Path, tracer=None, extra: dict | None = None
-) -> Path:
-    """Serialise :func:`json_snapshot` to ``path``."""
-    path = Path(path)
-    snap = json_snapshot(registry, tracer=tracer, extra=extra)
-    path.write_text(json.dumps(snap, indent=2) + "\n", encoding="utf-8")
-    return path

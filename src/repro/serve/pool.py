@@ -3,16 +3,14 @@
 One :class:`~repro.serve.engine.InferenceEngine` is capped by one GIL
 and one BLAS context. The :class:`WorkerPool` scales past that by
 spawning ``num_workers`` processes, each running its own engine over a
-locally reconstructed model, all pulling from a single bounded request
+private copy of the model, all pulling from a single bounded request
 queue:
 
-* **zero-copy weight handoff** — the fitted model is split once by
-  :func:`repro.models.state.export_state` into a kilobyte skeleton
-  pickle plus one contiguous weight arena; the arena goes into a
-  ``multiprocessing.shared_memory`` segment and every worker rebuilds
-  its model over ``np.frombuffer`` views
-  (:func:`repro.models.state.import_state`), so N workers map one
-  physical copy of the weights instead of holding N pickled clones;
+* **pickle handoff** — the parent pickles the fitted model once and
+  every worker unpickles a private copy. The served DeBERTa holds about
+  1 MB of weights at ``repobench``'s serve scale, so the copies cost
+  nothing measurable. ``Tensor``, ``LRUCache`` and ``TextPipeline``
+  drop their process-local state when pickled;
 * **single-engine contract** — ``predict_many`` shards its input into
   chunks aligned to ``engine.max_batch_size``, so every worker scores
   exactly the batches the single engine would have scored: labels are
@@ -35,29 +33,28 @@ queue:
 
 Workers always start with ``spawn``, which is safe regardless of the
 parent's threads. Lifecycle: construct → ``predict_many``/``submit`` →
-``close()`` (or use as a context manager). ``close()`` sends stop sentinels, collects
-worker snapshots, joins processes, then unlinks the shared segment.
+``close()`` (or use as a context manager). ``close()`` sends stop
+sentinels, collects worker snapshots, then joins the processes.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import queue
 import threading
 import time
 import traceback
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro import perf
-from repro.core.errors import ModelError
+from repro.core.errors import ModelError, NotFittedError
 from repro.core.schema import NUM_CLASSES
 from repro.models.base import RiskModel
-from repro.models.state import ModelState, export_state, import_state
 from repro.perf.export import merge_snapshots
 from repro.serve.engine import EngineConfig, InferenceEngine
 from repro.temporal.windows import PostWindow
@@ -124,44 +121,27 @@ def _format_error(exc: BaseException) -> str:
     return "".join(lines).rstrip()
 
 
-def _flush_and_exit(result_q) -> None:
-    """Deliver queued results, then exit without running finalizers.
-
-    The worker's model holds ``np.frombuffer`` views into the shared
-    segment, so a normal interpreter shutdown would try to close the
-    mapping under them and spray ``BufferError`` from
-    ``SharedMemory.__del__``. ``os._exit`` skips finalizers; the OS
-    unmaps the segment. ``join_thread`` first, so the queue's feeder
-    thread has flushed the final message to the pipe.
-    """
-    result_q.close()
-    result_q.join_thread()
-    os._exit(0)
-
-
 def _worker_main(
     worker_id: int,
-    shm_name: str,
-    skeleton: bytes,
-    manifest: dict,
+    model_bytes: bytes,
     engine_config: EngineConfig,
     request_q,
     result_q,
 ) -> None:
-    """Worker process body: attach arena, rebuild model, serve requests.
+    """Worker process body: unpickle the model, serve requests.
 
     Top-level (not a closure) so it pickles under the ``spawn`` start
-    method.
+    method. Returning normally is enough to deliver the last message:
+    the queue's feeder thread flushes it before the process exits.
     """
     try:
-        shm = shared_memory.SharedMemory(name=shm_name)
-        model = import_state(skeleton, manifest, shm.buf)
+        model = pickle.loads(model_bytes)
         engine = InferenceEngine(model, engine_config)
     except BaseException as exc:
         # Startup failure must reach the parent or __init__ would hang
         # waiting for "ready"; nothing to re-raise to in a child process.
         result_q.put(("start_error", worker_id, _format_error(exc)))
-        _flush_and_exit(result_q)
+        return
     result_q.put(("ready", worker_id, os.getpid()))
     try:
         while True:
@@ -185,7 +165,6 @@ def _worker_main(
             # than a clean engine teardown in a dying process.
             pass
         result_q.put(("stopped", worker_id, perf.snapshot()))
-        _flush_and_exit(result_q)
 
 
 class WorkerPool:
@@ -197,25 +176,20 @@ class WorkerPool:
     ...     probs = pool.predict_many(windows)      # sync, sharded
     ...     future = pool.submit(windows[:8])       # async, one chunk
     ...     future.result()
-
-    Alternatively construct from a pre-exported :class:`ModelState`
-    (``WorkerPool(state=...)``) when the parent never needs the live
-    model object.
     """
 
-    def __init__(
-        self,
-        model: RiskModel | None = None,
-        config: PoolConfig | None = None,
-        *,
-        state: ModelState | None = None,
-    ) -> None:
-        if (model is None) == (state is None):
-            raise ModelError("WorkerPool needs exactly one of model= or state=")
+    def __init__(self, model: RiskModel, config: PoolConfig | None = None) -> None:
+        if not isinstance(model, RiskModel):
+            raise ModelError(
+                f"WorkerPool expects a RiskModel, got {type(model).__name__}"
+            )
+        if not model._fitted:
+            raise NotFittedError(
+                f"{type(model).__name__} is not fitted — workers serve "
+                f"trained models"
+            )
         self.config = config or PoolConfig()
-        if state is None:
-            state = export_state(model)
-        self.manifest = state.manifest
+        model_bytes = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
 
         self._lock = threading.Lock()
         self._pending: dict[int, tuple[Future, float]] = {}
@@ -233,14 +207,7 @@ class WorkerPool:
         self._ready = threading.Event()
         self._workers_done = threading.Event()
 
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(1, int(state.arena.nbytes))
-        )
         try:
-            # One copy into the OS segment; no numpy view is kept on
-            # shm.buf here, so close()/unlink() later cannot hit a
-            # BufferError from a lingering export.
-            self._shm.buf[: state.arena.nbytes] = state.arena.tobytes()
             ctx = multiprocessing.get_context("spawn")
             self._request_q = ctx.Queue(maxsize=self.config.max_pending)
             self._result_q = ctx.Queue()
@@ -249,9 +216,7 @@ class WorkerPool:
                     target=_worker_main,
                     args=(
                         i,
-                        self._shm.name,
-                        state.skeleton,
-                        state.manifest,
+                        model_bytes,
                         self.config.engine,
                         self._request_q,
                         self._result_q,
@@ -477,7 +442,6 @@ class WorkerPool:
             "requests": requests,
             "errors": errors,
             "broken": broken,
-            "arena_nbytes": int(self.manifest["arena_nbytes"]),
         }
 
     @property
@@ -517,17 +481,9 @@ class WorkerPool:
                 proc.terminate()
         for proc in self._processes if hasattr(self, "_processes") else []:
             proc.join(timeout=5.0)
-        self._release_shm()
-
-    def _release_shm(self) -> None:
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass  # already unlinked (double close)
 
     def close(self) -> None:
-        """Stop workers, collect their snapshots, release shared memory.
+        """Stop workers, collect their snapshots, join the processes.
 
         Idempotent. In-flight futures that never got a result are
         failed rather than left pending.
@@ -562,7 +518,6 @@ class WorkerPool:
         for q in (self._request_q, self._result_q):
             q.cancel_join_thread()
             q.close()
-        self._release_shm()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -78,7 +78,7 @@ class TestRoundTrip:
         assert warm.dataset.kappa == pytest.approx(built.dataset.kappa)
         assert warm.dataset.labels == built.dataset.labels
         assert warm.dataset.pretrain_texts == built.dataset.pretrain_texts
-        # oracle labels survive the JSONL round-trip via the sidecar
+        # oracle labels, which the JSONL release drops, survive the cache
         for a, b in zip(warm.dataset.posts, built.dataset.posts):
             assert a.post_id == b.post_id
             assert a.oracle_label == b.oracle_label
@@ -133,7 +133,7 @@ class TestInvalidation:
             near_dedup=NEAR_DEDUP, cache=cache,
         )
         key = fingerprint(small_config, annotation_config, True, NEAR_DEDUP)
-        (cache.entry_dir(key) / "stages.pkl").write_bytes(b"not a pickle")
+        (cache.entry_dir(key) / "build.pkl").write_bytes(b"not a pickle")
         assert cache.load(key) is None
 
     def test_schema_bump_invalidates(

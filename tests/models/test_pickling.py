@@ -1,17 +1,17 @@
-"""export_state/import_state: round-trip every registry model.
+"""Pickle round trip of every registry model.
 
-The contract behind the serving worker pool: a fitted model, flattened
-to skeleton + weight arena and rebuilt over frombuffer views, must
-predict *identically* — bitwise, not approximately — because pool
-workers are supposed to be indistinguishable from the exporting
-process.
+The contract behind the serving worker pool: a fitted model, pickled in
+the parent and unpickled in a worker, must predict *identically* —
+bitwise, not approximately — because pool workers are supposed to be
+indistinguishable from the parent process.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.boosting import GBMParams
-from repro.core.errors import ModelError, NotFittedError
 from repro.models import (
     TABLE3_ORDER,
     HiGRU,
@@ -21,10 +21,9 @@ from repro.models import (
     TrainerConfig,
     XGBoostBaseline,
     create_model,
-    export_state,
-    import_state,
 )
 from repro.models.deberta import DebertaRiskModel
+from repro.serve import InferenceEngine
 
 TINY = TrainerConfig(epochs=2, batch_size=8, patience=5)
 
@@ -67,48 +66,30 @@ def fitted(tiny_splits):
     return models
 
 
+def _round_trip(model):
+    return pickle.loads(pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL))
+
+
 @pytest.mark.parametrize("name", [*TABLE3_ORDER, "logreg"])
 class TestRoundTrip:
     def test_bitwise_identical_predictions(self, name, fitted, tiny_splits):
         _, _, test = tiny_splits
         model = fitted[name]
-        state = export_state(model)
-        clone = import_state(state.skeleton, state.manifest, state.arena)
+        clone = _round_trip(model)
         np.testing.assert_array_equal(
             clone.predict_proba(test), model.predict_proba(test)
         )
         np.testing.assert_array_equal(clone.predict(test), model.predict(test))
 
-    def test_arena_holds_the_weights(self, name, fitted):
-        state = export_state(fitted[name])
-        assert state.nbytes > 0
-        assert len(state.manifest["entries"]) > 0
-        assert state.manifest["model_class"] == type(fitted[name]).__name__
 
-
-class TestContract:
-    def test_unfitted_model_rejected(self):
-        with pytest.raises(NotFittedError):
-            export_state(_tiny_model("logreg"))
-
-    def test_non_model_rejected(self):
-        with pytest.raises(ModelError):
-            export_state({"weights": np.ones(3)})
-
-    def test_wrong_version_rejected(self, fitted):
-        state = export_state(fitted["logreg"])
-        bad = dict(state.manifest, state_version=999)
-        with pytest.raises(ModelError):
-            import_state(state.skeleton, bad, state.arena)
-
-    def test_copy_mode_detaches_from_buffer(self, fitted, tiny_splits):
-        _, _, test = tiny_splits
-        model = fitted["logreg"]
-        state = export_state(model)
-        clone = import_state(
-            state.skeleton, state.manifest, state.arena, copy=True
-        )
-        state.arena[:] = 0  # scribble over the buffer
-        np.testing.assert_array_equal(
-            clone.predict_proba(test), model.predict_proba(test)
-        )
+def test_pickles_while_an_engine_is_open(fitted, tiny_splits):
+    # The engine shadows pipeline.encode_post with a closure over its
+    # token cache; the pickle must leave that process-local shadow out.
+    _, _, test = tiny_splits
+    model = fitted["bilstm"]
+    with InferenceEngine(model):
+        clone = _round_trip(model)
+    assert "encode_post" not in vars(clone.pipeline)
+    np.testing.assert_array_equal(
+        clone.predict_proba(test), model.predict_proba(test)
+    )

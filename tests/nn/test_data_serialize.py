@@ -1,4 +1,4 @@
-"""Tests for batching utilities and checkpointing."""
+"""Tests for batching and padding utilities."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,9 @@ import pytest
 from repro.nn import (
     batches,
     class_balanced_indices,
-    load_checkpoint,
     pad_feature_sequences,
     pad_sequences,
-    save_checkpoint,
 )
-from repro.nn.layers import Linear
 
 
 class TestPadSequences:
@@ -79,19 +76,3 @@ class TestClassBalance:
         idx = class_balanced_indices(labels, rng, per_class=4)
         assert len(idx) == 8
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path, rng):
-        layer = Linear(4, 3, rng)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(layer, path)
-        other = Linear(4, 3, np.random.default_rng(123))
-        assert not np.allclose(other.weight.data, layer.weight.data)
-        load_checkpoint(other, path)
-        assert np.allclose(other.weight.data, layer.weight.data)
-        assert np.allclose(other.bias.data, layer.bias.data)
-
-    def test_creates_parent_dirs(self, tmp_path, rng):
-        path = tmp_path / "deep" / "nest" / "model.npz"
-        save_checkpoint(Linear(2, 2, rng), path)
-        assert path.exists()
