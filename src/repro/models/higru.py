@@ -49,8 +49,7 @@ class TimeAwareAttention(Module):
     ) -> Tensor:
         mixed = (self.w_h(states) + self.w_t(Tensor(time_feats))).tanh()
         scores = self.v(mixed)[:, :, 0]  # (B, W)
-        scores = scores.masked_fill(np.asarray(post_mask) == 0, -1e9)
-        weights = scores.softmax(axis=-1)  # (B, W)
+        weights = scores.softmax(axis=-1, mask=np.asarray(post_mask) == 0)  # (B, W)
         return (states * weights.reshape(*weights.shape, 1)).sum(axis=1)
 
 

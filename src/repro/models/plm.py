@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import perf
 from repro.core.rng import SeedSequenceRegistry
 from repro.nn import (
     Adam,
@@ -130,32 +131,33 @@ def pretrain_mlm(
     """
     if not token_sequences:
         raise ValueError("no pretraining sequences supplied")
-    registry = SeedSequenceRegistry(seed)
-    rng = registry.get("mlm")
-    head = MLMHead(encoder.dim, len(vocab.tokens()), registry.get("mlm-head"))
-    params = list(encoder.parameters()) + list(head.parameters())
-    optimizer = Adam(params, lr=lr)
-    schedule = WarmupLinearDecay(
-        optimizer, warmup_steps=max(1, steps // 10), total_steps=steps
-    )
-    result = MLMResult()
-    n = len(token_sequences)
-    for _ in range(steps):
-        picks = rng.integers(n, size=batch_size)
-        ids, mask = pad_sequences(
-            [token_sequences[int(i)] for i in picks],
-            pad_value=vocab.pad_id,
-            max_len=max_len,
+    with perf.span("models.mlm"):
+        registry = SeedSequenceRegistry(seed)
+        rng = registry.get("mlm")
+        head = MLMHead(encoder.dim, len(vocab.tokens()), registry.get("mlm-head"))
+        params = list(encoder.parameters()) + list(head.parameters())
+        optimizer = Adam(params, lr=lr)
+        schedule = WarmupLinearDecay(
+            optimizer, warmup_steps=max(1, steps // 10), total_steps=steps
         )
-        inputs, targets = mask_tokens(ids, mask, vocab, rng)
-        states = encoder(inputs, mask=mask)
-        logits = head(states)
-        flat_logits = logits.reshape(-1, logits.shape[-1])
-        loss = cross_entropy(flat_logits, targets.reshape(-1))
-        optimizer.zero_grad()
-        loss.backward()
-        clip_grad_norm(params, 5.0)
-        schedule.step()
-        optimizer.step()
-        result.losses.append(loss.item())
-    return result
+        result = MLMResult()
+        n = len(token_sequences)
+        for _ in range(steps):
+            picks = rng.integers(n, size=batch_size)
+            ids, mask = pad_sequences(
+                [token_sequences[int(i)] for i in picks],
+                pad_value=vocab.pad_id,
+                max_len=max_len,
+            )
+            inputs, targets = mask_tokens(ids, mask, vocab, rng)
+            states = encoder(inputs, mask=mask)
+            logits = head(states)
+            flat_logits = logits.reshape(-1, logits.shape[-1])
+            loss = cross_entropy(flat_logits, targets.reshape(-1))
+            optimizer.zero_grad()
+            loss.backward()
+            clip_grad_norm(params, 5.0)
+            schedule.step()
+            optimizer.step()
+            result.losses.append(loss.item())
+        return result

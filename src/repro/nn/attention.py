@@ -12,8 +12,6 @@ from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
-NEG_INF = -1e9
-
 
 def split_heads(x: Tensor, num_heads: int) -> Tensor:
     """(B, T, D) → (B, h, T, D/h)."""
@@ -29,10 +27,12 @@ def merge_heads(x: Tensor) -> Tensor:
     return x.transpose(0, 2, 1, 3).reshape(batch, steps, heads * dh)
 
 
-def attention_mask_bias(mask: np.ndarray) -> np.ndarray:
-    """(B, T) keep-mask → (B, 1, 1, T) boolean *pad* mask for masked_fill."""
-    mask = np.asarray(mask)
-    return (mask == 0)[:, None, None, :]
+def attention_mask_bias(mask: np.ndarray | None) -> np.ndarray | None:
+    """(B, T) keep-mask → (B, 1, 1, T) boolean *pad* mask for a masked
+    :meth:`Tensor.softmax` (``None``, no mask, passes through)."""
+    if mask is None:
+        return None
+    return (np.asarray(mask) == 0)[:, None, None, :]
 
 
 class MultiHeadAttention(Module):
@@ -75,9 +75,7 @@ class MultiHeadAttention(Module):
         k = split_heads(self.w_k(key), self.num_heads)
         v = split_heads(self.w_v(value), self.num_heads)
         scores = (q @ k.swapaxes(-1, -2)) * self._scale
-        if mask is not None:
-            scores = scores.masked_fill(attention_mask_bias(mask), NEG_INF)
-        weights = self.dropout(scores.softmax(axis=-1))
+        weights = self.dropout(scores.softmax(axis=-1, mask=attention_mask_bias(mask)))
         context = weights @ v
         return self.w_o(merge_heads(context))
 
@@ -116,9 +114,7 @@ class TemporalDecayAttention(Module):
         log_delta = Tensor(np.log1p(delta)[:, None, :, :])  # (B, 1, T, T)
         rates = self.decay.reshape(1, self.num_heads, 1, 1)
         scores = scores - rates * log_delta
-        if mask is not None:
-            scores = scores.masked_fill(attention_mask_bias(mask), NEG_INF)
-        weights = inner.dropout(scores.softmax(axis=-1))
+        weights = inner.dropout(scores.softmax(axis=-1, mask=attention_mask_bias(mask)))
         return inner.w_o(merge_heads(weights @ v))
 
 
@@ -134,18 +130,76 @@ def relative_position_index(length: int, max_distance: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _gather_indices(length: int, max_distance: int) -> tuple[np.ndarray, np.ndarray]:
-    """Memoised ``(rows, index)`` gather pair for disentangled attention.
+def _relative_keys(length: int, max_distance: int, transpose: bool) -> np.ndarray:
+    """Flat offsets ``i·buckets + idx[i, j]`` into one (T, buckets) score
+    block, in C order of the (T, T) gather output — of its transpose,
+    ``[j, i]``, when ``transpose``.
 
-    Serving runs the same sequence lengths over and over; rebuilding the
-    (T, T) bucket matrix and row arange per forward is pure waste. The
-    arrays are marked read-only because they are shared across calls.
+    Serving and training repeat the same sequence lengths, so the keys are
+    memoised; they are read-only because every call shares them.
     """
     idx = relative_position_index(length, max_distance)
+    local = np.arange(length)[:, None] * (2 * max_distance + 1) + idx
+    keys = (local.T if transpose else local).ravel()
+    keys.setflags(write=False)
+    return keys
+
+
+def relative_scatter(
+    grad: np.ndarray, max_distance: int, transpose: bool = False
+) -> np.ndarray:
+    """Adjoint of :func:`relative_gather`: (…, T, T) → (…, T, buckets),
+    ``out[…, i, idx[i, j]] += grad[…, i, j]`` (``grad[…, j, i]`` when
+    ``transpose``).
+
+    One ``np.bincount`` over cached keys. Each bucket receives its
+    contributions in the same order, from the same zero, as in the
+    ``np.add.at`` loop of :func:`relative_scatter_reference`, so the two
+    are bitwise equal.
+    """
+    *lead_shape, length, _ = grad.shape
+    block = length * (2 * max_distance + 1)
+    lead = int(np.prod(lead_shape, dtype=np.int64))
+    local = _relative_keys(length, max_distance, transpose)
+    keys = (np.arange(lead)[:, None] * block + local).reshape(-1)
+    full = np.bincount(keys, weights=grad.reshape(-1), minlength=lead * block)
+    return full.reshape(*lead_shape, length, -1)
+
+
+def relative_scatter_reference(
+    grad: np.ndarray, max_distance: int, transpose: bool = False
+) -> np.ndarray:
+    """Reference twin of :func:`relative_scatter`: the generic fancy-index
+    scatter, one ``np.add.at`` over ``(…, rows, idx)``."""
+    *lead_shape, length, _ = grad.shape
     rows = np.arange(length)[:, None]
-    idx.setflags(write=False)
-    rows.setflags(write=False)
-    return rows, idx
+    idx = relative_position_index(length, max_distance)
+    full = np.zeros((*lead_shape, length, 2 * max_distance + 1))
+    np.add.at(full, (..., rows, idx), grad.swapaxes(-1, -2) if transpose else grad)
+    return full
+
+
+def relative_gather(
+    scores: Tensor, max_distance: int, transpose: bool = False
+) -> Tensor:
+    """Relative-position gather of disentangled attention, one autograd
+    node: (…, T, buckets) → (…, T, T).
+
+    ``out[…, i, j] = scores[…, i, idx[i, j]]`` for ``idx`` the clipped
+    bucket matrix of :func:`relative_position_index`; with ``transpose``,
+    ``out[…, i, j] = scores[…, j, idx[j, i]]`` (the gather followed by a
+    swap of the last two axes). The backward is :func:`relative_scatter`.
+    """
+    *lead_shape, length, buckets = scores.shape
+    local = _relative_keys(length, max_distance, transpose)
+    flat = scores.data.reshape(-1, length * buckets)
+    out_data = flat.take(local, axis=1).reshape(*lead_shape, length, length)
+
+    def backward(grad: np.ndarray) -> None:
+        if scores.requires_grad:
+            scores._accumulate(relative_scatter(grad, max_distance, transpose))
+
+    return Tensor._make(out_data, (scores,), backward)
 
 
 class DisentangledSelfAttention(Module):
@@ -189,7 +243,6 @@ class DisentangledSelfAttention(Module):
         self._scale = 1.0 / np.sqrt(3.0 * self.head_dim)
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        batch, steps, _ = x.shape
         qc = split_heads(self.w_q(x), self.num_heads)  # (B,h,T,dh)
         kc = split_heads(self.w_k(x), self.num_heads)
         v = split_heads(self.w_v(x), self.num_heads)
@@ -201,20 +254,17 @@ class DisentangledSelfAttention(Module):
         kr = kr.reshape(buckets, self.num_heads, self.head_dim).transpose(1, 0, 2)
         qr = qr.reshape(buckets, self.num_heads, self.head_dim).transpose(1, 0, 2)
 
-        rows, idx = _gather_indices(steps, self.max_relative_distance)
+        distance = self.max_relative_distance
 
         c2c = qc @ kc.swapaxes(-1, -2)  # (B,h,T,T)
         # content→position: Qc_i · Kr_{δ(i,j)}
         c2p_all = qc @ kr.swapaxes(-1, -2)  # (B,h,T,buckets)
-        c2p = c2p_all[:, :, rows, idx]  # (B,h,T,T)
+        c2p = relative_gather(c2p_all, distance)  # (B,h,T,T)
         # position→content: Kc_j · Qr_{δ(j,i)} with δ(j,i) = clip(i−j)+R,
-        # i.e. bucket idx[j, i]; gather per j then transpose to [b,h,i,j].
+        # i.e. bucket idx[j, i]: the transposed gather, indexed [b,h,i,j].
         p2c_all = kc @ qr.swapaxes(-1, -2)  # (B,h,T,buckets)
-        p2c_j = p2c_all[:, :, rows, idx]  # p2c_j[b,h,j,i]
-        p2c = p2c_j.swapaxes(-1, -2)
+        p2c = relative_gather(p2c_all, distance, transpose=True)
 
         scores = (c2c + c2p + p2c) * self._scale
-        if mask is not None:
-            scores = scores.masked_fill(attention_mask_bias(mask), NEG_INF)
-        weights = self.dropout(scores.softmax(axis=-1))
+        weights = self.dropout(scores.softmax(axis=-1, mask=attention_mask_bias(mask)))
         return self.w_o(merge_heads(weights @ v))

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.init import normal, xavier_uniform
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, layer_norm, linear
 
 
 class Linear(Module):
@@ -26,10 +26,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -66,11 +63,7 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centred = x - mu
-        var = (centred * centred).mean(axis=-1, keepdims=True)
-        inv_std = (var + self.eps) ** -0.5
-        return centred * inv_std * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class Dropout(Module):

@@ -88,17 +88,51 @@ class GRUCell(Module):
         return (1.0 - z) * n + z * h
 
     def forward_fused(self, x_proj_t: Tensor, h: Tensor) -> Tensor:
-        """Step with a precomputed input projection (one (B, 3H) slice)."""
+        """Step with a precomputed input projection (one (B, 3H) slice).
+
+        One autograd node with an analytic backward, bitwise equal to the
+        same step built op by op (slices, matmuls, adds, sigmoid, tanh and
+        the gate blend): the same array operations, and each input's
+        gradient contributions in the order that graph added them.
+        """
         H = self.hidden_dim
-        rz = (
-            x_proj_t[:, : 2 * H] + h @ self.w_h_rz + self.b_rz
-        ).sigmoid()
-        r = rz[:, :H]
-        z = rz[:, H:]
-        n = (
-            x_proj_t[:, 2 * H :] + (r * h) @ self.w_h_n + self.b_n
-        ).tanh()
-        return (1.0 - z) * n + z * h
+        w_rz, b_rz, w_n, b_n = self.w_h_rz, self.b_rz, self.w_h_n, self.b_n
+        proj, prev = x_proj_t.data, h.data
+        rz = 1.0 / (1.0 + np.exp(-(proj[:, : 2 * H] + prev @ w_rz.data + b_rz.data)))
+        r, z = rz[:, :H], rz[:, H:]
+        rh = r * prev
+        n = np.tanh(proj[:, 2 * H :] + rh @ w_n.data + b_n.data)
+        keep = 1.0 + (-z)
+        out = keep * n + z * prev
+
+        def backward(grad: np.ndarray) -> None:
+            g_n = grad * keep
+            g_keep = grad * n
+            g_cand = g_n * (1.0 - n**2)  # through tanh
+            if b_n.requires_grad:
+                b_n._accumulate(g_cand.sum(axis=0))
+            if x_proj_t.requires_grad:
+                x_proj_t._owned_grad()[:, 2 * H :] += g_cand
+            if w_n.requires_grad:
+                w_n._accumulate(rh.T @ g_cand)
+            g_rh = g_cand @ w_n.data.T
+            g_rz = np.zeros(rz.shape)
+            g_rz[:, :H] += g_rh * prev
+            if h.requires_grad:
+                h._accumulate(g_rh * r)
+                h._accumulate(grad * z)
+            g_rz[:, H:] += np.add(-g_keep, grad * prev)
+            g_gates = g_rz * rz * (1.0 - rz)  # through the sigmoid
+            if b_rz.requires_grad:
+                b_rz._accumulate(g_gates.sum(axis=0))
+            if x_proj_t.requires_grad:
+                x_proj_t._owned_grad()[:, : 2 * H] += g_gates
+            if h.requires_grad:
+                h._accumulate(g_gates @ w_rz.data.T)
+            if w_rz.requires_grad:
+                w_rz._accumulate(prev.T @ g_gates)
+
+        return Tensor._make(out, (x_proj_t, h, w_rz, b_rz, w_n, b_n), backward)
 
 
 def _mask_step(mask_col: np.ndarray, new: Tensor, old: Tensor) -> Tensor:

@@ -27,6 +27,10 @@ from repro.core.errors import GradientError, ShapeError
 
 Arrayish = "Tensor | np.ndarray | float | int"
 
+#: Score given to masked entries by :meth:`Tensor.softmax` — finite, so a
+#: fully masked row normalises to uniform instead of NaN.
+MASKED_SCORE = -1e9
+
 # Per-thread autograd switch: the serving engine's worker threads run
 # forward passes under no_grad while a training loop may be active on
 # another thread, so the flag cannot be process-global.
@@ -115,7 +119,10 @@ def _is_basic_index(key) -> bool:
 class Tensor:
     """A node in the autograd graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_backward", "_parents", "name",
+        "_owns_grad",
+    )
     __array_priority__ = 100  # numpy defers to our __r*__ operators
 
     def __init__(
@@ -127,6 +134,7 @@ class Tensor:
     ) -> None:
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
+        self._owns_grad = False
         self.requires_grad = bool(requires_grad)
         self._backward = None  # set by op constructors
         self._parents = _parents
@@ -172,6 +180,7 @@ class Tensor:
     def __setstate__(self, state) -> None:
         self.data, self.requires_grad, self.name = state
         self.grad = None
+        self._owns_grad = False
         self._backward = None
         self._parents = ()
 
@@ -185,10 +194,29 @@ class Tensor:
     # -- graph machinery ---------------------------------------------------------
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # Every gradient buffer is C-contiguous: numpy's reduction and
+        # matmul loops round differently on strided views. A C-contiguous
+        # first contribution is borrowed, not copied: it may be another
+        # node's gradient or a view of one. Only a buffer this tensor owns
+        # is ever written in place.
         if self.grad is None:
-            self.grad = grad.copy()
-        else:
+            self._owns_grad = not grad.flags.c_contiguous
+            self.grad = np.ascontiguousarray(grad)
+        elif self._owns_grad:
             self.grad += grad
+        else:
+            self.grad = np.add(self.grad, grad, order="C")
+            self._owns_grad = True
+
+    def _owned_grad(self) -> np.ndarray:
+        """This tensor's gradient buffer, made writable and private to it
+        (zeros when there is none yet), for ops that scatter in place."""
+        if self.grad is None:
+            self.grad = np.zeros(self.shape)
+        elif not self._owns_grad:
+            self.grad = self.grad.copy()
+        self._owns_grad = True
+        return self.grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -236,6 +264,13 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # Parents may now hold views of this buffer.
+                node._owns_grad = False
+        # Leaf gradients are what callers read and scale in place
+        # (clip_grad_norm), so each leaf ends up owning its own.
+        for node in topo:
+            if node._backward is None and node.grad is not None:
+                node._owned_grad()
 
     @staticmethod
     def _make(
@@ -420,14 +455,15 @@ class Tensor:
         """Tanh-approximated GELU (the BERT-family activation)."""
         x = self.data
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
+        x2 = x * x  # x**3 as products: a float64 pow costs ~4x more
+        t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+        half = 0.5 * (1.0 + t)
+        out_data = x * half
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                dt = (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
-                self._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x * dt))
+                dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x2)
+                self._accumulate(grad * (half + 0.5 * x * dt))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -442,7 +478,7 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -506,12 +542,13 @@ class Tensor:
         basic = _is_basic_index(key)
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+            if not self.requires_grad:
+                return
+            if basic:  # slices/ints never repeat a position
+                self._owned_grad()[key] += grad
+            else:
                 full = np.zeros_like(self.data)
-                if basic:  # slices/ints never repeat a position
-                    full[key] += grad
-                else:
-                    np.add.at(full, key, grad)
+                np.add.at(full, key, grad)
                 self._accumulate(full)
 
         return Tensor._make(out_data, (self,), backward)
@@ -534,9 +571,7 @@ class Tensor:
 
             def backward(grad: np.ndarray) -> None:
                 if self.requires_grad:
-                    if self.grad is None:
-                        self.grad = np.zeros_like(self.data)
-                    self.grad[index] += grad
+                    self._owned_grad()[index] += grad
 
             return Tensor._make(self.data[index], (self,), backward)
 
@@ -602,26 +637,102 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out_data = exp / exp.sum(axis=axis, keepdims=True)
+    def softmax(self, axis: int = -1, mask: np.ndarray | None = None) -> "Tensor":
+        """Softmax along ``axis``.
+
+        Entries where the boolean ``mask`` (broadcast against the data) is
+        True are scored :data:`MASKED_SCORE` first and receive no gradient;
+        a fully masked row comes out uniform. Computed in place on one
+        buffer, bitwise equal to filling, shifting, exponentiating and
+        normalising as separate arrays.
+        """
+        if mask is None:
+            out_data = self.data - self.data.max(axis=axis, keepdims=True)
+        else:
+            mask = np.asarray(mask, dtype=bool)
+            out_data = np.where(mask, MASKED_SCORE, self.data)
+            out_data -= out_data.max(axis=axis, keepdims=True)
+        np.exp(out_data, out=out_data)
+        out_data /= out_data.sum(axis=axis, keepdims=True)
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                inner = (grad * out_data).sum(axis=axis, keepdims=True)
-                self._accumulate(out_data * (grad - inner))
+            if not self.requires_grad:
+                return
+            g = grad * out_data
+            inner = g.sum(axis=axis, keepdims=True)
+            np.subtract(grad, inner, out=g)
+            g *= out_data
+            if mask is not None:
+                np.copyto(g, 0.0, where=mask)
+            self._accumulate(g)
 
         return Tensor._make(out_data, (self,), backward)
 
-    def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
-        """Replace entries where ``mask`` is True with ``value`` (no grad
-        flows through the filled entries)."""
-        mask = np.asarray(mask, dtype=bool)
-        out_data = np.where(mask, value, self.data)
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.where(mask, 0.0, grad))
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight + bias`` as one autograd node.
 
-        return Tensor._make(out_data, (self,), backward)
+    Bitwise equal to the matmul-then-add pair it replaces: the same
+    products in both directions, with the bias added in place on the
+    output instead of through a second node and array.
+    """
+    w = weight.data
+    out_data = x.data @ w
+    if bias is not None:
+        out_data += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad @ w.T)
+        if weight.requires_grad:
+            if x.ndim == 1:
+                weight._accumulate(np.outer(x.data, grad))
+            elif x.ndim == 2:
+                weight._accumulate(x.data.T @ grad)
+            else:  # all leading axes contracted in one flat gemm
+                lead = tuple(range(x.ndim - 1))
+                weight._accumulate(np.tensordot(x.data, grad, axes=(lead, lead)))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, bias.shape))
+
+    return Tensor._make(out_data, parents, backward)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Layer normalisation over the last axis as one autograd node.
+
+    Bitwise equal to the twelve-node composite it replaces (mean, centre,
+    variance, ``(var + eps) ** -0.5``, scale, shift): the same array
+    operations in the same order, the input's two gradient terms added to
+    it as two contributions, as the composite's did.
+    """
+    n = x.shape[-1]
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    var_eps = (centred * centred).sum(axis=-1, keepdims=True) * (1.0 / n) + eps
+    inv_std = var_eps**-0.5
+    normed = centred * inv_std
+    out_data = normed * gamma.data
+    out_data += beta.data
+
+    def backward(grad: np.ndarray) -> None:
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(grad, beta.shape))
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(grad * normed, gamma.shape))
+        if not x.requires_grad:
+            return
+        g_normed = grad * gamma.data
+        g_var = (
+            (g_normed * centred).sum(axis=-1, keepdims=True)
+            * -0.5 * var_eps**-1.5 * (1.0 / n)
+        )
+        # centred feeds the variance twice (as both factors of its square).
+        square_term = g_var * centred
+        g_centred = g_normed * inv_std + square_term
+        g_centred += square_term
+        g_mean = -g_centred.sum(axis=-1, keepdims=True) * (1.0 / n)
+        x._accumulate(g_centred)
+        x._accumulate(np.broadcast_to(g_mean, x.shape))
+
+    return Tensor._make(out_data, (x, gamma, beta), backward)

@@ -13,6 +13,7 @@ import pytest
 from repro.boosting.tree import RegressionTree, TreeParams
 from repro.core.cache import BuildCache, build_dataset_cached, fingerprint
 from repro.core.config import AnnotationConfig, CorpusConfig
+from repro.nn.attention import relative_scatter, relative_scatter_reference
 from repro.preprocess.dedup import MinHasher, shingles
 
 pytestmark = pytest.mark.perf_smoke
@@ -55,6 +56,19 @@ class TestKernelSmoke:
         fast = _clock(lambda: [hasher.signature(s) for s in sets])
         slow = _clock(lambda: [hasher._signature_reference(s) for s in sets])
         assert fast < slow * 1.5
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_relative_scatter_beats_reference(self, transpose):
+        # One DeBERTa attention layer's gather gradient at the PLM's batch
+        # size, head count, sequence length and bucket range.
+        grad = np.random.default_rng(0).normal(size=(16, 4, 96, 96))
+        fast = _clock(lambda: relative_scatter(grad, 16, transpose))
+        slow = _clock(lambda: relative_scatter_reference(grad, 16, transpose))
+        assert np.array_equal(
+            relative_scatter(grad, 16, transpose),
+            relative_scatter_reference(grad, 16, transpose),
+        )
+        assert fast < slow  # usually ~3-5x below; margin for CI noise
 
 
 class TestCacheSmoke:

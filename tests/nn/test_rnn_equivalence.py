@@ -71,3 +71,65 @@ class TestFusedScanEquivalence:
         np.testing.assert_allclose(
             out.data, np.concatenate([out_f.data, out_b.data], axis=2), atol=ATOL
         )
+
+
+def op_by_op_gru_step(cell, x_proj_t, h):
+    """The GRU step as separate autograd ops, which the one-node
+    ``GRUCell.forward_fused`` replaced."""
+    H = cell.hidden_dim
+    rz = (x_proj_t[:, : 2 * H] + h @ cell.w_h_rz + cell.b_rz).sigmoid()
+    r = rz[:, :H]
+    z = rz[:, H:]
+    n = (x_proj_t[:, 2 * H :] + (r * h) @ cell.w_h_n + cell.b_n).tanh()
+    return (1.0 - z) * n + z * h
+
+
+class TestFusedGRUStep:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bitwise_equal_to_op_by_op_step(self, masked, monkeypatch):
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=(3, 6, 5))
+        out_grad = rng.normal(size=(3, 6, 8))
+        mask = np.ones((3, 6))
+        mask[0, 4:] = 0.0
+        mask[2, 2:] = 0.0
+        results = []
+        for step in (None, op_by_op_gru_step):
+            if step is not None:
+                monkeypatch.setattr(
+                    "repro.nn.rnn.GRUCell.forward_fused",
+                    lambda cell, x_proj_t, h: step(cell, x_proj_t, h),
+                )
+            gru = GRU(5, 4, np.random.default_rng(12), bidirectional=True)
+            x = Tensor(data.copy(), requires_grad=True)
+            out, final = gru(x, mask=mask if masked else None)
+            # The final state is also consumed outside the scan.
+            ((out * Tensor(out_grad)).sum() + (final * final).sum()).backward()
+            results.append([out.data, final.data, x.grad, *_grads(gru)])
+        for fused, op_by_op in zip(*results):
+            assert np.array_equal(fused, op_by_op)
+
+    def test_numerical_gradients(self):
+        rng = np.random.default_rng(13)
+        gru = GRU(3, 2, np.random.default_rng(14), bidirectional=True)
+        x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 4, 4)))
+        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+
+        def loss():
+            out, final = gru(x, mask=mask)
+            return (out * weights).sum() + (final * final).sum()
+
+        loss().backward()
+        cell = gru.fwd
+        for tensor in (x, cell.w_h_rz, cell.b_rz, cell.w_h_n, cell.b_n):
+            numeric = np.zeros_like(tensor.data)
+            for idx in np.ndindex(tensor.shape):
+                old = tensor.data[idx]
+                tensor.data[idx] = old + 1e-6
+                plus = loss().item()
+                tensor.data[idx] = old - 1e-6
+                minus = loss().item()
+                tensor.data[idx] = old
+                numeric[idx] = (plus - minus) / 2e-6
+            assert np.abs(numeric - tensor.grad).max() < 1e-7

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.errors import GradientError, ShapeError
-from repro.nn.tensor import Tensor
+from repro.nn.attention import relative_gather, relative_position_index
+from repro.nn.optim import clip_grad_norm
+from repro.nn.tensor import MASKED_SCORE, Tensor, layer_norm, linear
 
 
 def numerical_grad(fn, x, eps=1e-6):
@@ -248,14 +250,206 @@ class TestSoftmaxFamily:
         x = Tensor(np.array([[1000.0, 1000.0]]))
         assert np.allclose(x.softmax(axis=-1).data, 0.5)
 
-    def test_masked_fill(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        mask = np.array([[True, False], [False, False]])
-        out = x.masked_fill(mask, -9.0)
-        assert out.data[0, 0] == -9.0
-        out.sum().backward()
-        assert x.grad[0, 0] == 0.0
-        assert x.grad[1, 1] == 1.0
+
+
+class TestMaskedSoftmax:
+    MASK = np.array([
+        [False, True, False, False, True],
+        [False, False, False, False, False],
+        [True, True, True, True, True],  # fully masked row
+    ])
+
+    def test_bitwise_equal_to_fill_then_softmax(self):
+        data = RNG.normal(size=(2, 3, 4, 5))
+        mask = RNG.random((2, 1, 1, 5)) < 0.4
+        fused = Tensor(data).softmax(axis=-1, mask=mask).data
+        filled = Tensor(np.where(mask, MASKED_SCORE, data)).softmax(axis=-1)
+        assert np.array_equal(fused, filled.data)
+
+    def test_grad(self):
+        weights = Tensor(RNG.normal(size=(3, 5)))
+        check_grad(
+            lambda x: (x.softmax(axis=-1, mask=self.MASK) * weights).sum(),
+            RNG.normal(size=(3, 5)),
+        )
+
+    def test_masked_entries_get_no_grad(self):
+        x = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
+        out = x.softmax(axis=-1, mask=self.MASK)
+        (out * Tensor(RNG.normal(size=(3, 5)))).sum().backward()
+        assert np.all(out.data[0, [1, 4]] == 0.0)
+        assert np.all(x.grad[self.MASK] == 0.0)
+
+    def test_fully_masked_row_is_uniform(self):
+        x = Tensor(RNG.normal(size=(3, 5)))
+        out = x.softmax(axis=-1, mask=self.MASK)
+        assert np.allclose(out.data[2], 0.2)
+        assert np.allclose(out.data.sum(axis=-1), 1.0)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 5, 3)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_grads(self, shape, with_bias):
+        x_data = RNG.normal(size=shape)
+        w_data = RNG.normal(size=(3, 2))
+        b_data = RNG.normal(size=(2,)) if with_bias else None
+        weights = Tensor(RNG.normal(size=(*shape[:-1], 2)))
+
+        def loss(x, w, b):
+            return (linear(x, w, b) * weights).sum()
+
+        def const(data):
+            return None if data is None else Tensor(data)
+
+        check_grad(lambda x: loss(x, Tensor(w_data), const(b_data)), x_data)
+        check_grad(lambda w: loss(Tensor(x_data), w, const(b_data)), w_data)
+        if with_bias:
+            check_grad(lambda b: loss(Tensor(x_data), Tensor(w_data), b), b_data)
+
+    @pytest.mark.parametrize("shape", [(7, 16), (4, 9, 16), (3, 5, 1, 16)])
+    def test_bitwise_equal_to_matmul_then_add(self, shape):
+        data = [RNG.normal(size=shape), RNG.normal(size=(16, 8)),
+                RNG.normal(size=(8,))]
+        fused = [Tensor(a.copy(), requires_grad=True) for a in data]
+        pair = [Tensor(a.copy(), requires_grad=True) for a in data]
+        out = linear(*fused)
+        ref = pair[0] @ pair[1] + pair[2]
+        assert np.array_equal(out.data, ref.data)
+        grad = RNG.normal(size=out.shape)
+        out.backward(grad)
+        ref.backward(grad)
+        for a, b in zip(fused, pair):
+            assert np.array_equal(a.grad, b.grad)
+
+
+def composite_layer_norm(x, gamma, beta, eps):
+    """The op-by-op LayerNorm that :func:`layer_norm` replaced."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centred = x - mu
+    var = (centred * centred).mean(axis=-1, keepdims=True)
+    return centred * ((var + eps) ** -0.5) * gamma + beta
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(5, 8), (2, 7, 16), (3, 2, 4, 6)])
+    def test_bitwise_equal_to_composite(self, shape):
+        dim = shape[-1]
+        data = [RNG.normal(size=shape), RNG.normal(size=dim),
+                RNG.normal(size=dim)]
+        other = Tensor(RNG.normal(size=shape))
+        out_grad = RNG.normal(size=shape)
+        results = []
+        for norm in (layer_norm, composite_layer_norm):
+            x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in data)
+            # x also feeds a second consumer, before and after the norm.
+            out = x * other + norm(x, gamma, beta, 1e-5) + x * other
+            out.backward(out_grad)
+            results.append((out.data, x.grad, gamma.grad, beta.grad))
+        for fused, composite in zip(*results):
+            assert np.array_equal(fused, composite)
+
+    def test_grads(self):
+        data = RNG.normal(size=(2, 3, 6))
+        gamma_data = RNG.normal(size=6)
+        beta_data = RNG.normal(size=6)
+        weights = Tensor(RNG.normal(size=(2, 3, 6)))
+
+        def loss(x, gamma, beta):
+            return (layer_norm(x, gamma, beta, 1e-5) * weights).sum()
+
+        check_grad(lambda x: loss(x, Tensor(gamma_data), Tensor(beta_data)), data)
+        check_grad(lambda g: loss(Tensor(data), g, Tensor(beta_data)), gamma_data)
+        check_grad(lambda b: loss(Tensor(data), Tensor(gamma_data), b), beta_data)
+
+
+class TestRelativeGather:
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_forward_is_the_fancy_index(self, transpose):
+        length, distance = 6, 2
+        data = RNG.normal(size=(2, 3, length, 2 * distance + 1))
+        idx = relative_position_index(length, distance)
+        expected = data[..., np.arange(length)[:, None], idx]
+        if transpose:
+            expected = expected.swapaxes(-1, -2)
+        out = relative_gather(Tensor(data), distance, transpose=transpose)
+        assert np.array_equal(out.data, expected)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_grad(self, transpose):
+        length, distance = 5, 2  # clipped: |i - j| reaches 4 > 2
+        weights = Tensor(RNG.normal(size=(2, 2, length, length)))
+        check_grad(
+            lambda x: (relative_gather(x, distance, transpose) * weights).sum(),
+            RNG.normal(size=(2, 2, length, 2 * distance + 1)),
+        )
+
+
+class TestGradOwnership:
+    """Gradients are borrowed until written: each case fails if a tensor
+    writes in place into a buffer it shares with another tensor."""
+
+    def test_sum_of_two_leaves_is_clipped_once_each(self):
+        a = Tensor(np.ones(4), requires_grad=True)
+        b = Tensor(np.ones(4), requires_grad=True)
+        (a + b).sum().backward()  # both get the same broadcast view
+        clip_grad_norm([a, b], 1.0)
+        expected = np.full(4, 1.0 / np.sqrt(8.0))
+        assert np.allclose(a.grad, expected) and np.allclose(b.grad, expected)
+
+    def test_explicit_output_grad_is_clipped_once_each(self):
+        a = Tensor(np.ones(4), requires_grad=True)
+        b = Tensor(np.ones(4), requires_grad=True)
+        out_grad = np.full(4, 2.0)
+        (a + b).backward(out_grad)  # both get the caller's array
+        clip_grad_norm([a, b], 1.0)
+        expected = np.full(4, 1.0 / np.sqrt(8.0))
+        assert np.allclose(a.grad, expected) and np.allclose(b.grad, expected)
+        assert np.all(out_grad == 2.0)
+
+    def test_parameter_used_twice(self):
+        a = Tensor(RNG.normal(size=(3,)), requires_grad=True)
+        b = Tensor(RNG.normal(size=(3,)), requires_grad=True)
+        out_grad = RNG.normal(size=(3,))
+        kept = out_grad.copy()
+        ((a + b) + a).backward(out_grad)
+        assert np.array_equal(a.grad, 2 * kept)
+        assert np.array_equal(b.grad, kept)
+        assert np.array_equal(out_grad, kept)
+
+    @pytest.mark.parametrize("split", ["slice", "unbind"])
+    @pytest.mark.parametrize("slice_first", [False, True])
+    def test_slice_into_a_borrowed_grad(self, split, slice_first):
+        w = RNG.normal(size=(3, 4))
+        v = RNG.normal(size=(4,))
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        y = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        row = x[0] if split == "slice" else x.unbind(axis=0)[0]
+        shared = ((x + y) * Tensor(w)).sum()  # x and y share one grad
+        sliced = (row * Tensor(v)).sum()
+        (sliced + shared if slice_first else shared + sliced).backward()
+        expected_x = w.copy()
+        expected_x[0] += v
+        assert np.allclose(x.grad, expected_x)
+        assert np.allclose(y.grad, w)
+
+    def test_second_backward_through_one_graph(self):
+        # Intermediate gradients persist and accumulate across passes, so
+        # the second pass sends x 2g + 2·(2g + 2g) on top of its first 2g.
+        a = Tensor(np.ones(3), requires_grad=True)
+        x = (a * 1.0) + 0.0  # x hands its own buffer to its parent
+        out = x + x
+        out_grad = np.arange(3.0)
+        out.backward(out_grad)
+        out.backward(out_grad)
+        assert np.array_equal(a.grad, 10 * out_grad)
+
+    def test_broadcast_sum_grad_on_a_leaf_is_clipped(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        x.sum().backward()
+        assert x.grad.flags.writeable
+        clip_grad_norm([x], 0.5)
+        assert np.allclose(x.grad, 0.5 / np.sqrt(6.0))
 
 
 class TestGraphSemantics:
