@@ -79,15 +79,18 @@ def audit_anonymisation(
         raise PrivacyError("anonymisation changed the number of posts")
     original_ids = {p.post_id for p in original}
     original_authors = {p.author for p in original}
+    # One pass per text: a single alternation of every (lowered) handle
+    # finds a case-insensitive substring leak without looping over authors.
+    by_lowered = {author.lower(): author for author in sorted(original_authors)}
+    handles = re.compile("|".join(map(re.escape, by_lowered)))
     for post in anonymised:
         if post.author in original_authors:
             raise PrivacyError(f"raw author survives: {post.author}")
         if post.post_id in original_ids:
             raise PrivacyError(f"raw post id survives: {post.post_id}")
-        lowered = post.text.lower()
-        for author in original_authors:
-            if author.lower() in lowered:
-                raise PrivacyError(f"author {author} leaked into text")
+        leak = handles.search(post.text.lower()) if by_lowered else None
+        if leak is not None:
+            raise PrivacyError(f"author {by_lowered[leak.group()]} leaked into text")
     # Linkability: the author partition must be preserved 1:1.
     def partition(posts: list[RedditPost]) -> dict[str, int]:
         sizes: dict[str, int] = {}

@@ -46,7 +46,10 @@ class Subreddit:
 
     name: str
     posts: list[RedditPost] = field(default_factory=list)
-    _sorted: bool = True
+    # post id → index in ``posts``; None while ``posts`` needs sorting.
+    _positions: dict[str, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def submit(self, post: RedditPost) -> None:
         if post.subreddit != self.name:
@@ -55,13 +58,13 @@ class Subreddit:
                 f"not r/{self.name}"
             )
         self.posts.append(post)
-        self._sorted = False
+        self._positions = None
 
     def _ensure_sorted(self) -> None:
-        if not self._sorted:
+        if self._positions is None:
             # Newest first; ties broken by id for determinism.
             self.posts.sort(key=lambda p: (p.created_utc, p.post_id), reverse=True)
-            self._sorted = True
+            self._positions = {p.post_id: i for i, p in enumerate(self.posts)}
 
     def __len__(self) -> int:
         return len(self.posts)
@@ -133,11 +136,10 @@ class RedditSimulator:
         limit = max(1, min(int(limit), self.MAX_PAGE_SIZE))
         start = 0
         if after is not None:
-            ids = [p.post_id for p in sub.posts]
-            try:
-                start = ids.index(after) + 1
-            except ValueError as exc:
-                raise CorpusError(f"unknown cursor: {after!r}") from exc
+            index = sub._positions.get(after)
+            if index is None:
+                raise CorpusError(f"unknown cursor: {after!r}")
+            start = index + 1
         page = sub.posts[start : start + limit]
         next_after = page[-1].post_id if len(page) == limit else None
         if start + limit >= len(sub.posts):

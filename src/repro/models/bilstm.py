@@ -156,8 +156,9 @@ class TimeAwareBiLSTM(RiskModel):
                     "pretrained embedding shape "
                     f"{vectors.shape} != table {self.network.embed.weight.shape}"
                 )
-            self.network.embed.weight.data = vectors.copy()
-            self.network.embed.weight.data[self.pipeline.vocab.pad_id] = 0.0
+            table = self.network.embed.weight
+            table.data = vectors.astype(table.data.dtype)
+            table.data[self.pipeline.vocab.pad_id] = 0.0
         encoded_train = self.pipeline.encode(train)
         encoded_val = self.pipeline.encode(validation) if validation else None
         self.history = train_classifier(

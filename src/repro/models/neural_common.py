@@ -422,12 +422,12 @@ def predict_proba_classifier(
     batch_size: int = 32,
     bucket_by_length: bool = True,
 ) -> np.ndarray:
-    """(N, C) class probabilities (softmax over eval-mode logits)."""
+    """(N, C) float64 class probabilities (softmax over eval-mode logits)."""
     if not len(encoded):
         return np.zeros((0, 1))
     logits = predict_logits(
         module, forward_fn, encoded, batch_size, bucket_by_length
-    )
+    ).astype(np.float64)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)

@@ -3,6 +3,7 @@ disentangled attention with relative position encodings."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -60,7 +61,7 @@ class MultiHeadAttention(Module):
         self.w_v = Linear(dim, dim, rng)
         self.w_o = Linear(dim, dim, rng)
         self.dropout = Dropout(dropout, rng)
-        self._scale = 1.0 / np.sqrt(dim // num_heads)
+        self._scale = 1.0 / math.sqrt(dim // num_heads)
 
     def forward(
         self,
@@ -163,7 +164,8 @@ def relative_scatter(
     local = _relative_keys(length, max_distance, transpose)
     keys = (np.arange(lead)[:, None] * block + local).reshape(-1)
     full = np.bincount(keys, weights=grad.reshape(-1), minlength=lead * block)
-    return full.reshape(*lead_shape, length, -1)
+    # bincount always sums in float64; hand back the gradient's dtype.
+    return full.astype(grad.dtype, copy=False).reshape(*lead_shape, length, -1)
 
 
 def relative_scatter_reference(
@@ -174,7 +176,7 @@ def relative_scatter_reference(
     *lead_shape, length, _ = grad.shape
     rows = np.arange(length)[:, None]
     idx = relative_position_index(length, max_distance)
-    full = np.zeros((*lead_shape, length, 2 * max_distance + 1))
+    full = np.zeros((*lead_shape, length, 2 * max_distance + 1), dtype=grad.dtype)
     np.add.at(full, (..., rows, idx), grad.swapaxes(-1, -2) if transpose else grad)
     return full
 
@@ -240,7 +242,7 @@ class DisentangledSelfAttention(Module):
         self.w_qr = Linear(dim, dim, rng, bias=False)
         self.w_kr = Linear(dim, dim, rng, bias=False)
         self.dropout = Dropout(dropout, rng)
-        self._scale = 1.0 / np.sqrt(3.0 * self.head_dim)
+        self._scale = 1.0 / math.sqrt(3.0 * self.head_dim)
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         qc = split_heads(self.w_q(x), self.num_heads)  # (B,h,T,dh)

@@ -80,8 +80,10 @@ class Dropout(Module):
         if not self.training or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep) / keep
-        return x * Tensor(mask)
+        # The draw stays float64, so the masks and the RNG stream do not
+        # depend on the activation dtype; only the scale is built in it.
+        mask = self._rng.random(x.shape) < keep
+        return x * Tensor(mask * x.data.dtype.type(1.0 / keep))
 
 
 class Sequential(Module):

@@ -116,7 +116,7 @@ class GRUCell(Module):
             if w_n.requires_grad:
                 w_n._accumulate(rh.T @ g_cand)
             g_rh = g_cand @ w_n.data.T
-            g_rz = np.zeros(rz.shape)
+            g_rz = np.zeros_like(rz)
             g_rz[:, :H] += g_rh * prev
             if h.requires_grad:
                 h._accumulate(g_rh * r)

@@ -13,10 +13,18 @@ Design choices
 * Broadcasting is supported everywhere via an un-broadcast helper.
 * ``log_softmax`` and friends are primitives with analytic backward
   passes, keeping graphs small and numerics stable.
+* One float dtype, float32, for every array the graph holds: parameters,
+  activations, gradients and optimizer state. Inputs are cast to it on
+  the way in, and gradients keep their tensor's dtype. Under numpy's
+  promotion rules a numpy float64 scalar or array turns a float32 result
+  into float64, so constants are Python floats and helper arrays are
+  built in the activation's dtype. The tests swap in float64 as a
+  numerical twin; nothing else selects it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -26,6 +34,11 @@ import numpy as np
 from repro.core.errors import GradientError, ShapeError
 
 Arrayish = "Tensor | np.ndarray | float | int"
+
+# The one float dtype of the stack (see the module docstring). Read at
+# call time, never bound at import, so the float64 test twin reaches
+# every array built after it is switched.
+_DTYPE = np.float32
 
 #: Score given to masked entries by :meth:`Tensor.softmax` — finite, so a
 #: fully masked row normalises to uniform instead of NaN.
@@ -73,10 +86,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _as_array(value, dtype=np.float64) -> np.ndarray:
+def _as_array(value) -> np.ndarray:
     if isinstance(value, Tensor):
         raise TypeError("expected raw array-like, got Tensor")
-    return np.asarray(value, dtype=dtype)
+    return np.asarray(value, dtype=_DTYPE)
 
 
 def scatter_add_rows(
@@ -198,21 +211,22 @@ class Tensor:
         # matmul loops round differently on strided views. A C-contiguous
         # first contribution is borrowed, not copied: it may be another
         # node's gradient or a view of one. Only a buffer this tensor owns
-        # is ever written in place.
+        # is ever written in place. A gradient keeps its tensor's dtype.
+        dtype = self.data.dtype
         if self.grad is None:
-            self._owns_grad = not grad.flags.c_contiguous
-            self.grad = np.ascontiguousarray(grad)
+            self._owns_grad = grad.dtype != dtype or not grad.flags.c_contiguous
+            self.grad = np.asarray(grad, dtype=dtype, order="C")
         elif self._owns_grad:
             self.grad += grad
         else:
-            self.grad = np.add(self.grad, grad, order="C")
+            self.grad = np.add(self.grad, grad, order="C", dtype=dtype)
             self._owns_grad = True
 
     def _owned_grad(self) -> np.ndarray:
         """This tensor's gradient buffer, made writable and private to it
         (zeros when there is none yet), for ops that scatter in place."""
         if self.grad is None:
-            self.grad = np.zeros(self.shape)
+            self.grad = np.zeros(self.shape, dtype=self.data.dtype)
         elif not self._owns_grad:
             self.grad = self.grad.copy()
         self._owns_grad = True
@@ -454,8 +468,8 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """Tanh-approximated GELU (the BERT-family activation)."""
         x = self.data
-        c = np.sqrt(2.0 / np.pi)
-        x2 = x * x  # x**3 as products: a float64 pow costs ~4x more
+        c = math.sqrt(2.0 / math.pi)  # a Python float keeps x's dtype
+        x2 = x * x  # x**3 as products: a pow costs ~4x more
         t = np.tanh(c * (x + 0.044715 * (x2 * x)))
         half = 0.5 * (1.0 + t)
         out_data = x * half
@@ -501,7 +515,7 @@ class Tensor:
             expanded = out_data if keepdims else np.expand_dims(out_data, axis=axis)
             mask = self.data == expanded
             # Split gradient between ties.
-            counts = mask.sum(axis=axis, keepdims=True)
+            counts = mask.sum(axis=axis, keepdims=True, dtype=g.dtype)
             self._accumulate(g * mask / counts)
 
         return Tensor._make(out_data, (self,), backward)

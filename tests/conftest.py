@@ -33,3 +33,14 @@ def small_splits(small_dataset):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture()
+def float64_twin(monkeypatch):
+    """Run ``repro.nn`` in float64, the numerical twin of its float32.
+
+    Numerical-gradient checks, bitwise op-by-op equivalence tests and
+    float64-tight tolerances run under it. Arrays built after the switch
+    (parameters included) are float64; it is undone after the test.
+    """
+    monkeypatch.setattr("repro.nn.tensor._DTYPE", np.float64)

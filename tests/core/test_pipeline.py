@@ -1,8 +1,26 @@
 """Tests for the end-to-end dataset build."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 
+from repro.core.config import CorpusConfig
+from repro.core.pipeline import build_dataset
 from repro.core.schema import ALL_LEVELS
+
+#: JSONL sha256 of the seed-1 build at scale 0.02 (near-dedup and
+#: anonymisation on). A change to it changes the released dataset.
+SEED1_SCALE002_SHA256 = (
+    "ede3a4cd25572e056a441f070a7299eacac72b5502e13fa48deb91d7ab2dac33"
+)
+
+
+def test_seed1_dataset_bytes_are_pinned(tmp_path):
+    config = dataclasses.replace(CorpusConfig().scaled(0.02), seed=1)
+    path = tmp_path / "dataset.jsonl"
+    build_dataset(config).dataset.to_jsonl(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SEED1_SCALE002_SHA256
 
 
 class TestBuildResult:

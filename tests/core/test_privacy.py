@@ -1,5 +1,6 @@
 """Tests for anonymisation and PII scrubbing."""
 
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -91,6 +92,26 @@ class TestAudit:
         ]
         with pytest.raises(PrivacyError):
             audit_anonymisation(posts, leaked)
+
+    def test_names_a_handle_planted_in_one_post(self):
+        posts = [
+            make_post(f"p{i}", f"user_{i:03d}", f"body {i}") for i in range(200)
+        ]
+        posts.append(make_post("px", "Mr.Robot+1", "hello"))
+        anonymised = Anonymizer("s").anonymise(posts)
+        audit_anonymisation(posts, anonymised)  # clean before planting
+        anonymised[57] = replace(
+            anonymised[57], body="ask MR.ROBOT+1 about it"
+        )
+        with pytest.raises(PrivacyError, match=r"author Mr\.Robot\+1 leaked"):
+            audit_anonymisation(posts, anonymised)
+
+    def test_handles_match_literally(self):
+        # "a.c" is a handle, not a pattern: "abc" in a text is no leak.
+        posts = [make_post("p1", "a.c", "b")]
+        anonymised = Anonymizer("s").anonymise(posts)
+        anonymised[0] = replace(anonymised[0], body="abc and a+c")
+        audit_anonymisation(posts, anonymised)  # no raise
 
     def test_detects_broken_linkability(self):
         posts = [make_post("p1", "alice", "b"), make_post("p2", "alice", "b2")]

@@ -89,6 +89,16 @@ class TestListing:
         with pytest.raises(CorpusError):
             reddit.new("SuicideWatch", after="zzz")
 
+    def test_cursor_survives_a_newer_submission(self, reddit):
+        self._populate(reddit, 6)
+        first = reddit.new("SuicideWatch", limit=3)
+        # A newer post shifts every position by one; the cursor still
+        # resumes right after the post it names.
+        reddit.submit(make_post(reddit, when=datetime(2021, 1, 1, tzinfo=timezone.utc)))
+        second = reddit.new("SuicideWatch", limit=3, after=first.after)
+        expected = reddit.subreddit("SuicideWatch").posts[4:7]
+        assert [p.post_id for p in second.posts] == [p.post_id for p in expected]
+
     def test_iterate_all_covers_everything(self, reddit):
         self._populate(reddit, 230)
         seen = list(reddit.iterate_all("SuicideWatch", page_size=100))

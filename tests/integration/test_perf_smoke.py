@@ -1,8 +1,9 @@
 """Fast perf sanity checks (``pytest -m perf_smoke``).
 
-Each test times a vectorized kernel against its ``_reference`` twin on a
-workload large enough that the vectorized path should win comfortably; the
-assertions use generous margins so a loaded CI machine doesn't flake.
+Each test times a vectorized kernel against its ``_reference`` twin (or
+the float32 network against its float64 twin) on a workload large enough
+that the fast path should win comfortably; the assertions use generous
+margins so a loaded CI machine doesn't flake.
 """
 
 import time
@@ -13,6 +14,9 @@ import pytest
 from repro.boosting.tree import RegressionTree, TreeParams
 from repro.core.cache import BuildCache, build_dataset_cached, fingerprint
 from repro.core.config import AnnotationConfig, CorpusConfig
+from repro.models.deberta import DebertaRiskNetwork
+from repro.models.plm import PLMConfig
+from repro.nn import cross_entropy
 from repro.nn.attention import relative_scatter, relative_scatter_reference
 from repro.preprocess.dedup import MinHasher, shingles
 
@@ -69,6 +73,32 @@ class TestKernelSmoke:
             relative_scatter_reference(grad, 16, transpose),
         )
         assert fast < slow  # usually ~3-5x below; margin for CI noise
+
+
+class TestFloat32Smoke:
+    def test_deberta_batch_beats_float64_twin(self, request):
+        # One DeBERTa fine-tuning batch at the base PLM size: 16 windows
+        # of 96 tokens and 5 posts, forward and backward.
+        rng = np.random.default_rng(0)
+        ids = rng.integers(5, 3000, size=(16, 96))
+        inputs = (ids, np.ones((16, 96)), rng.normal(size=(16, 5, 12)),
+                  np.ones((16, 5)), np.zeros((16, 5)))
+        labels = rng.integers(0, 4, size=16)
+
+        def batch_s():
+            net = DebertaRiskNetwork(3000, 12, PLMConfig.base(),
+                                     np.random.default_rng(1))
+
+            def step():
+                net.zero_grad()
+                cross_entropy(net(*inputs), labels).backward()
+
+            return _clock(step)
+
+        fast = batch_s()
+        request.getfixturevalue("float64_twin")
+        slow = batch_s()
+        assert fast < slow  # usually ~1.5x below; margin for CI noise
 
 
 class TestCacheSmoke:

@@ -121,6 +121,7 @@ class TestCrossEntropy:
         loss = cross_entropy(logits, np.array([0]))
         assert loss.item() == pytest.approx(-np.log(0.7), abs=1e-6)
 
+    @pytest.mark.usefixtures("float64_twin")
     def test_ignore_index_excluded(self):
         logits = Tensor(np.zeros((3, 4)), requires_grad=True)
         targets = np.array([1, IGNORE_INDEX, 2])

@@ -1,6 +1,7 @@
 """Property-based tests of core nn invariants (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -23,6 +24,7 @@ class TestSoftmaxProperties:
         assert np.allclose(probs.sum(axis=-1), 1.0)
         assert (probs >= 0).all()
 
+    @pytest.mark.usefixtures("float64_twin")  # float64-tight tolerance
     @settings(max_examples=40, deadline=None)
     @given(arrays((2, 5)), st.floats(-3, 3))
     def test_shift_invariance(self, data, shift):
@@ -30,6 +32,7 @@ class TestSoftmaxProperties:
         b = Tensor(data + shift).softmax(axis=-1).data
         assert np.allclose(a, b, atol=1e-9)
 
+    @pytest.mark.usefixtures("float64_twin")  # float64-tight tolerance
     @settings(max_examples=40, deadline=None)
     @given(arrays((4, 4)))
     def test_log_softmax_consistent_with_softmax(self, data):
@@ -39,6 +42,7 @@ class TestSoftmaxProperties:
 
 
 class TestLayerNormProperties:
+    @pytest.mark.usefixtures("float64_twin")  # float64-tight tolerance
     @settings(max_examples=40, deadline=None)
     @given(arrays((5, 8)))
     def test_output_standardised(self, data):
@@ -71,6 +75,7 @@ class TestAutogradProperties:
         assert np.allclose(x.grad, 1.0)
         assert np.allclose(y.grad, 1.0)
 
+    @pytest.mark.usefixtures("float64_twin")  # float64-tight tolerance
     @settings(max_examples=40, deadline=None)
     @given(arrays((2, 3)))
     def test_product_rule_with_self(self, a):

@@ -7,6 +7,10 @@ from repro.nn import GRU, LSTM, Tensor
 
 ATOL = 1e-8
 
+# Equivalence to the per-step and op-by-op references is pinned on the
+# float64 twin, where the tolerance and the bitwise checks are meaningful.
+pytestmark = pytest.mark.usefixtures("float64_twin")
+
 
 def _pair(rnn_cls, seed=0, input_dim=5, hidden=4, bidirectional=False):
     """Two identically-initialised models (separate graphs for grad checks)."""

@@ -51,6 +51,7 @@ class TestScatterAddRows:
         np.testing.assert_array_equal(target, 1.0)
 
 
+@pytest.mark.usefixtures("float64_twin")
 class TestRelativeScatter:
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize(

@@ -45,6 +45,8 @@ def check_grad(build, data, tol=1e-7):
 RNG = np.random.default_rng(0)
 
 
+# Every test here is a numerical-gradient check.
+@pytest.mark.usefixtures("float64_twin")
 class TestElementwiseGrads:
     def test_add_mul(self):
         data = RNG.normal(size=(3, 4))
@@ -78,6 +80,7 @@ class TestElementwiseGrads:
 
 
 class TestBroadcastingGrads:
+    @pytest.mark.usefixtures("float64_twin")
     def test_row_broadcast(self):
         a = RNG.normal(size=(4, 3))
         b = RNG.normal(size=(3,))
@@ -93,6 +96,7 @@ class TestBroadcastingGrads:
         (x + 3.0).sum().backward()
         assert np.allclose(x.grad, 1.0)
 
+    @pytest.mark.usefixtures("float64_twin")
     def test_keepdim_broadcast(self):
         a = RNG.normal(size=(4, 3))
         check_grad(lambda x: (x - x.mean(axis=1, keepdims=True)).sum(), a)
@@ -108,6 +112,7 @@ class TestMatmulGrads:
         assert np.allclose(x.grad, np.ones((3, 2)) @ b.T)
         assert np.allclose(y.grad, a.T @ np.ones((3, 2)))
 
+    @pytest.mark.usefixtures("float64_twin")
     def test_batched(self):
         a = RNG.normal(size=(2, 3, 4))
         check_grad(
@@ -129,6 +134,7 @@ class TestMatmulGrads:
         (x @ Tensor(b)).sum().backward()
         assert x.grad.shape == a.shape
 
+    @pytest.mark.usefixtures("float64_twin")
     def test_batched_lhs_2d_rhs_grad(self):
         # (B, T, D) @ (D, K) — the tensordot fast path for the RHS grad
         a = RNG.normal(size=(2, 3, 4))
@@ -142,6 +148,7 @@ class TestMatmulGrads:
 
 
 class TestReductionGrads:
+    @pytest.mark.usefixtures("float64_twin")
     def test_sum_axis(self):
         check_grad(lambda x: x.sum(axis=0).sum(), RNG.normal(size=(3, 4)))
 
@@ -166,9 +173,11 @@ class TestReductionGrads:
 
 
 class TestShapeOps:
+    @pytest.mark.usefixtures("float64_twin")
     def test_reshape_grad(self):
         check_grad(lambda x: (x.reshape(6) * 2).sum(), RNG.normal(size=(2, 3)))
 
+    @pytest.mark.usefixtures("float64_twin")
     def test_transpose_grad(self):
         a = RNG.normal(size=(2, 3, 4))
         check_grad(lambda x: (x.transpose(2, 0, 1) ** 2).sum(), a)
@@ -206,6 +215,7 @@ class TestShapeOps:
         for t in tensors:
             assert np.allclose(t.grad, 1.0)
 
+    @pytest.mark.usefixtures("float64_twin")
     def test_unbind_matches_getitem(self):
         a = RNG.normal(size=(3, 4, 5))
         x = Tensor(a, requires_grad=True)
@@ -238,10 +248,12 @@ class TestSoftmaxFamily:
         x = Tensor(RNG.normal(size=(5, 7)))
         assert np.allclose(x.softmax(axis=-1).data.sum(axis=-1), 1.0)
 
+    @pytest.mark.usefixtures("float64_twin")
     def test_log_softmax_grad(self):
         a = RNG.normal(size=(3, 5))
         check_grad(lambda x: (x.log_softmax(axis=-1) ** 2).sum(), a, tol=1e-6)
 
+    @pytest.mark.usefixtures("float64_twin")
     def test_softmax_grad(self):
         a = RNG.normal(size=(3, 5))
         check_grad(lambda x: (x.softmax(axis=-1) ** 2).sum(), a, tol=1e-6)
@@ -266,6 +278,7 @@ class TestMaskedSoftmax:
         filled = Tensor(np.where(mask, MASKED_SCORE, data)).softmax(axis=-1)
         assert np.array_equal(fused, filled.data)
 
+    @pytest.mark.usefixtures("float64_twin")
     def test_grad(self):
         weights = Tensor(RNG.normal(size=(3, 5)))
         check_grad(
@@ -287,6 +300,7 @@ class TestMaskedSoftmax:
         assert np.allclose(out.data.sum(axis=-1), 1.0)
 
 
+@pytest.mark.usefixtures("float64_twin")
 class TestLinear:
     @pytest.mark.parametrize("shape", [(4, 3), (2, 5, 3)])
     @pytest.mark.parametrize("with_bias", [True, False])
@@ -331,6 +345,7 @@ def composite_layer_norm(x, gamma, beta, eps):
     return centred * ((var + eps) ** -0.5) * gamma + beta
 
 
+@pytest.mark.usefixtures("float64_twin")
 class TestLayerNorm:
     @pytest.mark.parametrize("shape", [(5, 8), (2, 7, 16), (3, 2, 4, 6)])
     def test_bitwise_equal_to_composite(self, shape):
@@ -363,6 +378,7 @@ class TestLayerNorm:
         check_grad(lambda b: loss(Tensor(data), Tensor(gamma_data), b), beta_data)
 
 
+@pytest.mark.usefixtures("float64_twin")
 class TestRelativeGather:
     @pytest.mark.parametrize("transpose", [False, True])
     def test_forward_is_the_fancy_index(self, transpose):
@@ -407,6 +423,7 @@ class TestGradOwnership:
         assert np.allclose(a.grad, expected) and np.allclose(b.grad, expected)
         assert np.all(out_grad == 2.0)
 
+    @pytest.mark.usefixtures("float64_twin")
     def test_parameter_used_twice(self):
         a = Tensor(RNG.normal(size=(3,)), requires_grad=True)
         b = Tensor(RNG.normal(size=(3,)), requires_grad=True)
