@@ -82,8 +82,14 @@ class Dropout(Module):
         keep = 1.0 - self.p
         # The draw stays float64, so the masks and the RNG stream do not
         # depend on the activation dtype; only the scale is built in it.
+        # The node holds the bool mask and scales it again in backward.
         mask = self._rng.random(x.shape) < keep
-        return x * Tensor(mask * x.data.dtype.type(1.0 / keep))
+        scale = x.data.dtype.type(1.0 / keep)
+
+        def backward(grad: np.ndarray) -> None:
+            x._accumulate(grad * (mask * scale))
+
+        return Tensor._make(x.data * (mask * scale), (x,), backward)
 
 
 class Sequential(Module):

@@ -3,10 +3,15 @@
 Each test times a vectorized kernel against its ``_reference`` twin (or
 the float32 network against its float64 twin) on a workload large enough
 that the fast path should win comfortably; the assertions use generous
-margins so a loaded CI machine doesn't flake.
+margins so a loaded CI machine doesn't flake. The memory guards compare
+traced peaks and count page faults, which do not depend on the load.
 """
 
+import dataclasses
+import platform
+import resource
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +19,12 @@ import pytest
 from repro.boosting.tree import RegressionTree, TreeParams
 from repro.core.cache import BuildCache, build_dataset_cached, fingerprint
 from repro.core.config import AnnotationConfig, CorpusConfig
+from repro.core.pipeline import build_dataset
+from repro.core.rng import SeedSequenceRegistry
 from repro.models.deberta import DebertaRiskNetwork
+from repro.models.neural_common import train_classifier
 from repro.models.plm import PLMConfig
+from repro.models.registry import create_model
 from repro.nn import cross_entropy
 from repro.nn.attention import relative_scatter, relative_scatter_reference
 from repro.preprocess.dedup import MinHasher, shingles
@@ -99,6 +108,66 @@ class TestFloat32Smoke:
         request.getfixturevalue("float64_twin")
         slow = batch_s()
         assert fast < slow  # usually ~1.5x below; margin for CI noise
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemorySmoke:
+    def test_training_holds_one_step_graph_at_a_time(self):
+        # A DeBERTa fine-tune of two batches peaks no higher than one
+        # batch's forward + backward: backward frees each graph, so a
+        # step never overlaps the previous step's graph.
+        splits = build_dataset(
+            CorpusConfig().scaled(0.03), near_dedup=False
+        ).dataset.splits()
+        model = create_model("deberta", pretrain_steps=0, seed=0)
+        trainer = dataclasses.replace(model.trainer, epochs=1)
+        model.pipeline.fit(splits.train)
+        model.network = model._build_network(SeedSequenceRegistry(0).get("init"))
+        encoded = model.pipeline.encode(splits.train)
+        assert len(encoded) > trainer.batch_size  # at least two steps
+
+        def one_batch():
+            idx = np.arange(trainer.batch_size)
+            logits = model._forward(encoded, idx)
+            cross_entropy(logits, encoded.labels[idx]).backward()
+
+        model.network.train()
+        step_mb = _traced_peak_mb(one_batch)
+        model.network.zero_grad()
+        train_mb = _traced_peak_mb(
+            lambda: train_classifier(
+                model.network, model._forward, encoded, None, trainer
+            )
+        )
+        assert train_mb <= 1.15 * step_mb, (train_mb, step_mb)
+
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set through glibc")
+    def test_freed_heap_is_reused_without_page_faults(self):
+        # What a training step or serving batch does: allocate 64 MB of
+        # activations, free them all. Run the step twice, then count the
+        # minor page faults of a third; handing the freed heap back to the
+        # OS would fault all 16k of its pages in again.
+        def step():
+            arrays = [np.ones(1 << 19) for _ in range(16)]  # 16 x 4 MB
+            del arrays
+
+        step()
+        step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1000, faults
 
 
 class TestCacheSmoke:

@@ -142,6 +142,24 @@ class TestDropout:
         assert set(np.unique(out)).issubset({0.0, 2.0})
         assert abs(out.mean() - 1.0) < 0.05
 
+    def test_one_node_equals_the_masked_product(self):
+        # Same draw, same float32 values forward and backward as
+        # multiplying by the scaled mask as a constant tensor.
+        data = np.random.default_rng(3).normal(size=(4, 6))
+        grad = np.random.default_rng(4).normal(size=(4, 6)).astype(np.float32)
+        x = Tensor(data, requires_grad=True)
+        out = Dropout(0.3, np.random.default_rng(5))(x)
+        mask = np.random.default_rng(5).random(data.shape) < 1.0 - 0.3
+        y = Tensor(data, requires_grad=True)
+        ref = y * Tensor(mask * np.float32(1.0 / (1.0 - 0.3)))
+        assert np.array_equal(out.data, ref.data)
+        cells = [c.cell_contents for c in out._backward.__closure__]
+        arrays = [c for c in cells if isinstance(c, np.ndarray)]
+        assert [a.dtype for a in arrays] == [np.bool_]  # only the mask
+        out.backward(grad)
+        ref.backward(grad)
+        assert np.array_equal(x.grad, y.grad)
+
     def test_zero_p_identity(self, rng):
         drop = Dropout(0.0, rng)
         x = Tensor(np.ones((3, 3)))

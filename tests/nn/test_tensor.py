@@ -1,6 +1,7 @@
 """Gradient checks and semantics tests for the autograd Tensor."""
 
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -451,15 +452,17 @@ class TestGradOwnership:
         assert np.allclose(y.grad, w)
 
     def test_second_backward_through_one_graph(self):
-        # Intermediate gradients persist and accumulate across passes, so
-        # the second pass sends x 2g + 2·(2g + 2g) on top of its first 2g.
+        # The first pass frees the graph, so the second raises and leaves
+        # the first pass's gradient and the caller's array as they were.
         a = Tensor(np.ones(3), requires_grad=True)
         x = (a * 1.0) + 0.0  # x hands its own buffer to its parent
         out = x + x
         out_grad = np.arange(3.0)
         out.backward(out_grad)
-        out.backward(out_grad)
-        assert np.array_equal(a.grad, 10 * out_grad)
+        with pytest.raises(GradientError):
+            out.backward(out_grad)
+        assert np.array_equal(a.grad, 2 * out_grad)
+        assert np.array_equal(out_grad, np.arange(3.0))
 
     def test_broadcast_sum_grad_on_a_leaf_is_clipped(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -467,6 +470,74 @@ class TestGradOwnership:
         assert x.grad.flags.writeable
         clip_grad_norm([x], 0.5)
         assert np.allclose(x.grad, 0.5 / np.sqrt(6.0))
+
+
+def _interior_nodes(root: Tensor) -> list[Tensor]:
+    """Every node reachable from ``root`` that an op made."""
+    found, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            found.append(node)
+        stack.extend(node._parents)
+    return found
+
+
+class TestGraphLifetime:
+    """Backward frees the graph behind it; only leaves keep gradients."""
+
+    def test_interior_tensor_is_freed_by_backward(self):
+        x = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        h = (x @ w).tanh()
+        ref = weakref.ref(h.data)  # Tensor has slots and no weakref slot
+        loss = (h * h).sum()
+        del h
+        assert ref() is not None  # the graph still holds it
+        loss.backward()
+        assert ref() is None  # freed at once, without a gc pass
+
+    def test_no_interior_node_keeps_graph_state(self):
+        x = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        h = (x @ w).tanh()
+        loss = (h * h + h).mean()
+        interior = _interior_nodes(loss)
+        assert len(interior) >= 5  # matmul, tanh, mul, add, mean
+        loss.backward()
+        for node in interior:
+            assert node._parents == ()
+            assert node._backward.__closure__ is None
+            assert node.grad is None
+
+    def test_leaves_own_writable_gradients(self):
+        x = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        ((x @ w) + w.sum()).sum().backward()
+        for leaf in (x, w):
+            assert leaf.grad.flags.writeable and leaf.grad.flags.owndata
+        assert not np.shares_memory(x.grad, w.grad)
+
+    def test_new_graph_through_a_freed_node_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        h = x * 2.0
+        h.sum().backward()
+        with pytest.raises(GradientError):
+            (h * 3.0).sum().backward()
+
+
+class TestItem:
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_one_element(self, shape):
+        value = Tensor(np.full(shape, 2.5)).item()
+        assert value == 2.5 and type(value) is float
+
+    def test_more_elements_rejected(self):
+        with pytest.raises(ShapeError):
+            Tensor(np.ones(2)).item()
 
 
 class TestGraphSemantics:
