@@ -13,13 +13,12 @@ REPRO-METRIC    perf.* name literals render valid Prometheus exposition
 REPRO-EXCEPT    broad excepts re-raise, fail a Future, or justify
 ==============  =======================================================
 
-Inline suppression: ``# repro: noqa[REPRO-RNG]`` on the offending line.
-Grandfathered findings: ``lint_baseline.json`` (every entry justified;
-stale entries fail the run). CLI: ``python -m repro lint [paths]``;
-docs: ``docs/static_analysis.md``.
+Inline suppression, the one suppression mechanism:
+``# repro: noqa[REPRO-RNG]`` on the offending line; any other finding
+fails the run. CLI: ``python -m repro lint [paths]``; docs:
+``docs/static_analysis.md``.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry, BaselineError
 from repro.analysis.engine import (
     FileContext,
     Finding,
@@ -32,9 +31,6 @@ from repro.analysis.reporters import LintReport, render_json, render_text
 from repro.analysis.rules import RULES, Rule, default_rules, register, rule_ids
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "BaselineError",
     "FileContext",
     "Finding",
     "LintEngine",

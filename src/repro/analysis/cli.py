@@ -3,8 +3,8 @@
 ``add_lint_arguments`` attaches the option surface to any argparse
 parser (the repro CLI's ``lint`` subcommand reuses it verbatim);
 ``run_from_args`` executes a parsed namespace and returns the exit
-code. Run from the repository root so report/baseline paths stay
-repo-relative (CI does; ``--root`` overrides).
+code. Run from the repository root so report paths stay repo-relative
+(CI does; ``--root`` overrides).
 """
 
 from __future__ import annotations
@@ -13,13 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.engine import LintEngine
 from repro.analysis.reporters import LintReport, render_json, render_text
 
 __all__ = ["add_lint_arguments", "main", "run_from_args"]
-
-DEFAULT_BASELINE = "lint_baseline.json"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -37,15 +34,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "goes to stdout)",
     )
     parser.add_argument(
-        "--baseline", default=None,
-        help=f"baseline JSON (default: {DEFAULT_BASELINE} under --root "
-             f"when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file (report grandfathered findings too)",
-    )
-    parser.add_argument(
         "--root", default=None,
         help="project root for relative paths and the tests/ scan "
              "(default: current directory)",
@@ -56,24 +44,8 @@ def run_from_args(args: argparse.Namespace) -> int:
     root = Path(args.root) if args.root else Path.cwd()
     engine = LintEngine(root=root)
     result = engine.run(args.paths or ["src"])
-
-    baseline = Baseline.empty()
-    if not args.no_baseline:
-        baseline_path = (
-            Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-        )
-        if args.baseline or baseline_path.exists():
-            try:
-                baseline = Baseline.load(baseline_path)
-            except BaselineError as exc:
-                print(f"repro lint: {exc}", file=sys.stderr)
-                return 2
-    new, baselined, stale = baseline.apply(result.findings)
-
     report = LintReport(
-        new=new,
-        baselined=baselined,
-        stale=stale,
+        findings=result.findings,
         files_checked=result.files_checked,
         suppressed=result.suppressed,
     )

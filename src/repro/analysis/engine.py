@@ -9,15 +9,10 @@ adding a rule never adds a parse pass. Rules report through the
     x = legacy_call()  # repro: noqa[REPRO-RNG]
 
 silences exactly ``REPRO-RNG`` on exactly that line (several ids may be
-comma-separated inside the brackets). Grandfathered findings live in a
-JSON baseline instead (:mod:`repro.analysis.baseline`): they stay out
-of the report but must stay justified, and they go *stale* — loudly —
-the moment the underlying code is fixed, so the baseline only ever
-shrinks.
+comma-separated inside the brackets). There is no other suppression:
+every finding left standing is reported.
 
-Findings carry the stripped source line as ``context``; the baseline
-matches on it rather than on line numbers, so unrelated edits above a
-grandfathered line do not invalidate the entry.
+Findings carry the stripped source line as ``context``.
 
 See ``docs/static_analysis.md`` for the rule catalogue.
 """
@@ -205,7 +200,7 @@ class LintEngine:
         Rule *instances*; defaults to one of each registered rule
         (:func:`repro.analysis.rules.default_rules`).
     root:
-        Project root used for relative paths in reports/baselines and
+        Project root used for relative paths in reports and
         for cross-file checks (REPRO-TWIN's ``tests/`` scan). Defaults
         to the current working directory.
     """

@@ -1,18 +1,16 @@
 """Text and JSON reporters for ``repro lint`` results.
 
-Both consume the same :class:`LintReport` view: *new* findings (not
-baselined, not noqa'd), *baselined* findings, *stale* baseline entries,
-and run counters. The exit code is part of the report so the JSON
-artifact uploaded by CI is self-describing: ``0`` clean-or-baselined,
-``1`` new errors or stale baseline entries (warnings never fail).
+Both consume the same :class:`LintReport` view: the findings left after
+``noqa`` suppression, and run counters. The exit code is part of the
+report so the JSON artifact uploaded by CI is self-describing: ``0``
+clean, ``1`` any error-severity finding (warnings never fail).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.analysis.baseline import BaselineEntry
 from repro.analysis.engine import Finding, Severity
 
 __all__ = ["LintReport", "render_json", "render_text"]
@@ -20,33 +18,29 @@ __all__ = ["LintReport", "render_json", "render_text"]
 
 @dataclass
 class LintReport:
-    new: list[Finding]
-    baselined: list[Finding] = field(default_factory=list)
-    stale: list[BaselineEntry] = field(default_factory=list)
+    findings: list[Finding]
     files_checked: int = 0
     suppressed: int = 0
 
     @property
     def errors(self) -> list[Finding]:
-        return [f for f in self.new if f.severity is Severity.ERROR]
+        return [f for f in self.findings if f.severity is Severity.ERROR]
 
     @property
     def warnings(self) -> list[Finding]:
-        return [f for f in self.new if f.severity is Severity.WARNING]
+        return [f for f in self.findings if f.severity is Severity.WARNING]
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.errors or self.stale else 0
+        return 1 if self.errors else 0
 
     def summary(self) -> dict:
         return {
             "files_checked": self.files_checked,
-            "findings": len(self.new),
+            "findings": len(self.findings),
             "errors": len(self.errors),
             "warnings": len(self.warnings),
-            "baselined": len(self.baselined),
             "suppressed": self.suppressed,
-            "stale_baseline": len(self.stale),
             "exit_code": self.exit_code,
         }
 
@@ -56,27 +50,20 @@ class LintReport:
         return (
             f"repro lint: {verdict} — {s['findings']} finding(s) "
             f"({s['errors']} error, {s['warnings']} warning) in "
-            f"{s['files_checked']} file(s); {s['baselined']} baselined, "
-            f"{s['suppressed']} noqa-suppressed, "
-            f"{s['stale_baseline']} stale baseline entr(y/ies)"
+            f"{s['files_checked']} file(s); "
+            f"{s['suppressed']} noqa-suppressed"
         )
 
 
 def render_text(report: LintReport) -> str:
     lines: list[str] = []
-    for finding in report.new:
+    for finding in report.findings:
         lines.append(
             f"{finding.path}:{finding.line}: {finding.rule} "
             f"{finding.severity.value}: {finding.message}"
         )
         if finding.context:
             lines.append(f"    {finding.context}")
-    for entry in report.stale:
-        lines.append(
-            f"stale baseline entry: {entry.rule} at {entry.path} "
-            f"({entry.context!r}) no longer matches any finding — "
-            f"delete it from the baseline"
-        )
     lines.append(report.summary_line())
     return "\n".join(lines) + "\n"
 
@@ -84,8 +71,6 @@ def render_text(report: LintReport) -> str:
 def render_json(report: LintReport) -> str:
     payload = {
         "summary": report.summary(),
-        "findings": [f.as_dict() for f in report.new],
-        "baselined": [f.as_dict() for f in report.baselined],
-        "stale_baseline": [e.as_dict() for e in report.stale],
+        "findings": [f.as_dict() for f in report.findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

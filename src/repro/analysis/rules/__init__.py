@@ -67,8 +67,9 @@ class Rule:
         """Called once after every file, for cross-file findings."""
 
 
-# Importing the rule modules populates the registry.
-from repro.analysis.rules import (  # noqa: E402  (registry must exist first)
+# Importing the rule modules populates the registry, so this import
+# comes after the registry exists.
+from repro.analysis.rules import (
     clock,
     excepts,
     lock,

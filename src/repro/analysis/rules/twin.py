@@ -3,10 +3,10 @@
 The repo's performance contract (docs/performance.md): each vectorized
 hot path keeps its original scalar implementation as an executable
 specification — ``scatter_add_rows`` / ``scatter_add_rows_reference``,
-``BPETokenizer.train`` / ``_train_reference``, … — and an equivalence
-test pins the pair together. A refactor that renames the fast twin,
-moves it to another module, or drops the equivalence test silently
-voids that contract; this rule makes the drift a lint error.
+``TfidfVectorizer.transform`` / ``_transform_reference``, … — and an
+equivalence test pins the pair together. A refactor that renames the
+fast twin, moves it to another module, or drops the equivalence test
+silently voids that contract; this rule makes the drift a lint error.
 
 Statically, for every function whose name contains ``_reference``:
 

@@ -1,9 +1,8 @@
 """A small thread-safe bounded LRU cache.
 
-Shared by the serving engine's tokenization cache and
-:class:`repro.text.bpe.BPETokenizer`'s merge cache, both of which see
-unbounded distinct keys under real traffic and previously grew without
-limit. Eviction is least-recently-used; every access updates recency.
+Backs :class:`repro.models.neural_common.TextPipeline`'s per-post
+tokenization cache, which sees unbounded distinct post texts under real
+traffic. Eviction is least-recently-used; every access updates recency.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ Every module exposes ``run(scale, seed)`` returning structured data and a
 ``main()`` that prints the same rows/series the paper reports.
 """
 
-from repro.experiments import (  # noqa: F401
+from repro.experiments import (
     ablations,
     evolution_analysis,
     fig1_posts_per_user,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import perf
+from repro.core.lru import LRUCache
 from repro.core.rng import SeedSequenceRegistry
 from repro.eval.metrics import macro_f1
 from repro.nn import (
@@ -28,6 +29,9 @@ from repro.temporal.encoding import TimeEncoder
 from repro.temporal.windows import PostWindow
 from repro.text.tokenizer import WordTokenizer
 from repro.text.vocab import Vocabulary
+
+# Distinct post texts whose encodings TextPipeline memoises.
+POST_CACHE_SIZE = 8192
 
 
 @dataclass
@@ -46,6 +50,13 @@ class EncodedWindows:
 class TextPipeline:
     """Vocabulary construction + per-post token encoding.
 
+    Sliding windows overlap (consecutive windows share all but one
+    post), so ``encode_post`` memoises encodings keyed on the raw text
+    in a bounded LRU, ``post_cache``, for training and serving alike.
+    Assigning a vocabulary (``fit`` does) starts a new, empty cache, so
+    ids from an older vocabulary are never served. The cache pickles
+    with the pipeline, so a copy arrives warm.
+
     Parameters
     ----------
     max_vocab:
@@ -58,8 +69,17 @@ class TextPipeline:
         self.max_vocab = max_vocab
         self.max_tokens_per_post = max_tokens_per_post
         self._tokenizer = WordTokenizer()
-        self.vocab: Vocabulary | None = None
+        self.vocab = None
         self._time_encoder = TimeEncoder(include_tags=True)
+
+    @property
+    def vocab(self) -> Vocabulary | None:
+        return self._vocab
+
+    @vocab.setter
+    def vocab(self, vocab: Vocabulary | None) -> None:
+        self._vocab = vocab
+        self.post_cache = LRUCache(POST_CACHE_SIZE)
 
     @property
     def time_dim(self) -> int:
@@ -86,18 +106,14 @@ class TextPipeline:
             raise RuntimeError("TextPipeline.encode_texts before fit")
         return [self.encode_post(text) for text in texts]
 
-    def __getstate__(self) -> dict:
-        # An open InferenceEngine shadows ``encode_post`` with a caching
-        # closure over its process-local LRU; pickle the pipeline without
-        # it, so the copy encodes through the method.
-        state = self.__dict__.copy()
-        state.pop("encode_post", None)
-        return state
-
     def encode_post(self, text: str) -> list[int]:
-        tokens = self._tokenizer(text)[: self.max_tokens_per_post]
-        ids = self.vocab.encode(tokens)
-        return ids or [self.vocab.unk_id]
+        """Token ids of one post; a fresh list the caller may mutate."""
+        ids = self.post_cache.get(text)
+        if ids is None:
+            tokens = self._tokenizer(text)[: self.max_tokens_per_post]
+            ids = tuple(self.vocab.encode(tokens)) or (self.vocab.unk_id,)
+            self.post_cache.put(text, ids)
+        return list(ids)
 
     def encode(self, windows: list[PostWindow]) -> EncodedWindows:
         if self.vocab is None:

@@ -13,14 +13,15 @@ overhead — python dispatch, feature/tokenization setup, tiny gemms. The
   executes the coalesced batches, so the next batch assembles while the
   previous one runs;
 * **a bounded LRU tokenization cache** — users repost and windows
-  overlap, so per-post token encodings are memoised (and bounded, unlike
-  a bare dict, so long-running processes don't leak);
+  overlap, so per-post token encodings are memoised; the memo is the
+  model pipeline's own (:class:`~repro.models.neural_common.TextPipeline`),
+  which the engine reports as ``tokenization_cache``;
 * **a synchronous ``predict_many`` fast path** — bulk scoring skips the
   queue entirely and feeds size-capped batches straight to the model.
 
 All scoring runs under :func:`repro.nn.no_grad`, and every stage is
 instrumented through ``repro.perf``: ``serve.*`` spans/counters, gauges
-(queue depth, in-flight batches, tokenization-cache occupancy),
+(queue depth, in-flight batches, tokenization-cache size/hits/misses),
 per-request latency/queue-wait histograms, and — on every async
 request — a full lifecycle *trace* (enqueue → batch_assembly →
 tokenize → forward → scatter → complete) kept in a bounded ring buffer,
@@ -60,8 +61,6 @@ class EngineConfig:
     max_wait_s:
         How long the micro-batcher waits for stragglers after the first
         queued request before dispatching a partial batch.
-    tokenization_cache_size:
-        LRU budget (distinct post texts) for the tokenization cache.
     trace_ring_size:
         How many finished traces the in-memory ring retains. Every
         async request is traced (six timestamped events) and feeds the
@@ -76,7 +75,6 @@ class EngineConfig:
 
     max_batch_size: int = 32
     max_wait_s: float = 0.005
-    tokenization_cache_size: int = 8192
     trace_ring_size: int = 256
     slow_threshold_s: float = 1.0
     slow_log_path: str | None = None
@@ -103,8 +101,8 @@ class InferenceEngine:
     >>> future.result()                               # (C,) probabilities
     >>> engine.close()
 
-    The engine is also a context manager; ``close()`` drains the queue,
-    stops the batcher thread and uninstalls the tokenization cache.
+    The engine is also a context manager; ``close()`` drains the queue
+    and stops the batcher and worker threads.
     """
 
     def __init__(
@@ -116,7 +114,6 @@ class InferenceEngine:
             raise ModelError("InferenceEngine requires a fitted model")
         self.model = model
         self.config = config or EngineConfig()
-        self.tokenization_cache = LRUCache(self.config.tokenization_cache_size)
         self.tracer = Tracer(
             ring_size=self.config.trace_ring_size,
             slow_threshold_s=self.config.slow_threshold_s,
@@ -129,8 +126,6 @@ class InferenceEngine:
         self._batched_items = 0
         self._in_flight = 0
         self._lock = threading.Lock()
-        self._original_encode = None
-        self._install_tokenization_cache()
         self._batcher = threading.Thread(
             target=self._batch_loop, name="serve-batcher", daemon=True
         )
@@ -140,45 +135,12 @@ class InferenceEngine:
         )
         self._worker.start()
 
-    # -- tokenization cache ------------------------------------------------
-
-    def _install_tokenization_cache(self) -> None:
-        """Memoise the model pipeline's per-post encoder through the LRU.
-
-        Neural models re-encode every post text on each predict call;
-        under serving traffic the same texts recur (overlapping windows,
-        reposts), so encoding is cached keyed on the raw text. Feature
-        models without a ``pipeline.encode_post`` are left untouched.
-        """
-        pipeline = getattr(self.model, "pipeline", None)
-        encode = getattr(pipeline, "encode_post", None)
-        if encode is None:
-            return
-        cache = self.tokenization_cache
-
-        def cached_encode_post(text: str) -> list[int]:
-            hit = cache.get(text)
-            if hit is not None:
-                perf.count("serve.tokenize.hits")
-                return list(hit)
-            ids = encode(text)
-            cache.put(text, tuple(ids))
-            perf.count("serve.tokenize.misses")
-            return ids
-
-        pipeline.encode_post = cached_encode_post
-        # Runs from __init__, before the batcher/worker threads exist;
-        # locking here would imply a concurrency that cannot happen yet.
-        self._original_encode = (pipeline, encode)  # repro: noqa[REPRO-LOCK]
-
-    def _uninstall_tokenization_cache(self) -> None:
-        if self._original_encode is not None:
-            pipeline, _ = self._original_encode
-            try:
-                del pipeline.encode_post  # remove the instance shadow
-            except AttributeError:
-                pass
-            self._original_encode = None
+    @property
+    def tokenization_cache(self) -> LRUCache | None:
+        """The model pipeline's per-post memo (``pipeline.post_cache``);
+        ``None`` for models without a pipeline, such as XGBoost and
+        logreg."""
+        return getattr(getattr(self.model, "pipeline", None), "post_cache", None)
 
     # -- synchronous bulk path ---------------------------------------------
 
@@ -303,7 +265,7 @@ class InferenceEngine:
             perf.gauge("serve.in_flight_batches", in_flight)
 
     def _warm_tokenization(self, windows: list[PostWindow]) -> None:
-        """Pre-encode through the memoised per-post encoder.
+        """Pre-encode through the pipeline's memoised per-post encoder.
 
         Separates the tokenize phase from the forward pass for tracing:
         the inner ``predict_proba`` re-encode then hits the LRU, so the
@@ -331,10 +293,12 @@ class InferenceEngine:
             self._batched_items += size
         perf.count("serve.batches")
         perf.count("serve.batched_items", size)
-        perf.gauge(
-            "serve.tokenize_cache.size",
-            self.tokenization_cache.stats()["size"],
-        )
+        cache = self.tokenization_cache
+        if cache is not None:
+            counts = cache.stats()
+            perf.gauge("serve.tokenize_cache.size", counts["size"])
+            perf.gauge("serve.tokenize_cache.hits", counts["hits"])
+            perf.gauge("serve.tokenize_cache.misses", counts["misses"])
 
     # -- lifecycle / introspection -----------------------------------------
 
@@ -344,6 +308,7 @@ class InferenceEngine:
 
     def stats(self) -> dict:
         """Batching, cache, and tracing counters for monitoring."""
+        cache = self.tokenization_cache
         with self._lock:
             batches = self._batches
             items = self._batched_items
@@ -354,7 +319,7 @@ class InferenceEngine:
             "mean_batch_size": items / batches if batches else 0.0,
             "queue_depth": self._queue.qsize(),
             "in_flight_batches": in_flight,
-            "tokenization_cache": self.tokenization_cache.stats(),
+            "tokenization_cache": None if cache is None else cache.stats(),
             "traces": self.tracer.stats(),
         }
 
@@ -383,7 +348,6 @@ class InferenceEngine:
                 _, future, _ = item
                 if not future.done():
                     future.set_exception(RuntimeError("engine closed"))
-        self._uninstall_tokenization_cache()
 
     def __enter__(self) -> "InferenceEngine":
         return self

@@ -9,8 +9,9 @@ queue:
 * **pickle handoff** — the parent pickles the fitted model once and
   every worker unpickles a private copy. The served DeBERTa holds about
   1 MB of weights at ``repobench``'s serve scale, so the copies cost
-  nothing measurable. ``Tensor``, ``LRUCache`` and ``TextPipeline``
-  drop their process-local state when pickled;
+  nothing measurable. ``Tensor`` and ``LRUCache`` drop their
+  process-local state when pickled, so a worker's model arrives with
+  its pipeline's tokenization cache warm;
 * **single-engine contract** — ``predict_many`` shards its input into
   chunks aligned to ``engine.max_batch_size``, so every worker scores
   exactly the batches the single engine would have scored: labels are

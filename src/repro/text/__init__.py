@@ -1,6 +1,5 @@
 """Text stack: tokenisers, vocabulary, TF-IDF, statistical features."""
 
-from repro.text.bpe import BPETokenizer
 from repro.text.stats import TextStats, stats_matrix, text_stats
 from repro.text.tfidf import TfidfVectorizer
 from repro.text.tokenizer import (
@@ -20,7 +19,6 @@ from repro.text.vocab import (
 )
 
 __all__ = [
-    "BPETokenizer",
     "TextStats",
     "stats_matrix",
     "text_stats",

@@ -130,7 +130,7 @@ def _report_with_one_finding():
     findings = lint(
         BOTH_RULES_SOURCE.format(noqa=""), [WallClockRule()]
     )
-    return LintReport(new=findings, files_checked=1)
+    return LintReport(findings=findings, files_checked=1)
 
 
 def test_text_reporter_shows_location_rule_and_context():
@@ -153,7 +153,7 @@ def test_json_reporter_is_machine_readable():
 def test_warnings_do_not_fail_the_exit_code():
     finding = lint(BOTH_RULES_SOURCE.format(noqa=""), [WallClockRule()])[0]
     downgraded = LintReport(
-        new=[
+        findings=[
             type(finding)(
                 rule=finding.rule,
                 severity=Severity.WARNING,

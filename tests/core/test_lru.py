@@ -1,4 +1,4 @@
-"""Bounded LRU cache shared by the serve engine and the BPE tokenizer."""
+"""Bounded LRU cache behind TextPipeline's per-post tokenization cache."""
 
 import threading
 

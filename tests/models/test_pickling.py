@@ -83,8 +83,8 @@ class TestRoundTrip:
 
 
 def test_pickles_while_an_engine_is_open(fitted, tiny_splits):
-    # The engine shadows pipeline.encode_post with a closure over its
-    # token cache; the pickle must leave that process-local shadow out.
+    # Serving must not change what a pickled model carries: the copy
+    # encodes through the pipeline's own method and predicts the same.
     _, _, test = tiny_splits
     model = fitted["bilstm"]
     with InferenceEngine(model):

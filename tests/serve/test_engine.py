@@ -100,7 +100,7 @@ def test_stats_shape(engine, small_splits):
     stats = engine.stats()
     assert stats["batches"] >= 1
     assert stats["batched_items"] >= 4
-    assert set(stats["tokenization_cache"]) >= {"hits", "misses", "size"}
+    assert stats["tokenization_cache"] is None  # logreg has no pipeline
 
 
 def test_closed_engine_rejects_work(fitted_logreg, small_splits):
@@ -211,7 +211,7 @@ class TestTracing:
         assert stats["traces"]["finished"] == 10
 
 
-def test_tokenization_cache_restored_after_close(small_splits, small_dataset):
+def test_tokenization_cache_is_the_pipelines(small_splits, small_dataset):
     from repro.models.neural_common import TrainerConfig
     from repro.models.plm import PLMConfig
     from repro.models.roberta import RobertaRiskModel
@@ -225,14 +225,22 @@ def test_tokenization_cache_restored_after_close(small_splits, small_dataset):
         seed=0,
     )
     model.fit(small_splits.train, small_splits.validation)
-    original = model.pipeline.encode_post
+    perf.reset()
     with InferenceEngine(model) as eng:
-        assert model.pipeline.encode_post is not original
+        assert eng.tokenization_cache is model.pipeline.post_cache
         eng.predict_many(small_splits.test)
+        first = eng.stats()["tokenization_cache"]
+        assert set(first) >= {"hits", "misses", "size"}
         eng.predict_many(small_splits.test)  # second pass hits the cache
-        cache = eng.stats()["tokenization_cache"]
-    assert cache["hits"] > 0
-    assert model.pipeline.encode_post == original  # shadow removed
+        second = eng.stats()["tokenization_cache"]
+    assert second["hits"] > first["hits"]
+    assert second["misses"] == first["misses"]
+    gauges = perf.snapshot()["gauges"]
+    perf.reset()
+    for key in ("size", "hits", "misses"):
+        assert gauges[f"serve.tokenize_cache.{key}"] == second[key]
+    model.predict_proba(small_splits.test[:4])  # the engine is closed
+    assert model.pipeline.post_cache.stats()["hits"] > second["hits"]
 
 
 @pytest.mark.perf_smoke
