@@ -13,7 +13,7 @@ def test_bench_ablation_feature_dimensions(benchmark, bench_scale, capsys):
     assert len(rows) == 4  # all + three single dimensions
     full = rows[0]
     # All features together should not lose to any single dimension badly.
-    assert full.accuracy_pct >= max(r.accuracy_pct for r in rows[1:]) - 10.0
+    assert 100 * full.accuracy >= max(100 * r.accuracy for r in rows[1:]) - 10.0
     with capsys.disabled():
         print()
         print(ablations.render(rows))

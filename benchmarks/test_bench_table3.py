@@ -5,15 +5,14 @@ final aggregation test prints the full table and checks the paper's
 headline ordering (PLMs above every non-PLM baseline).
 """
 
-import numpy as np
 import pytest
 
 from repro.eval.metrics import EvalReport
+from repro.eval.runner import evaluate
 from repro.experiments.table3_baselines import (
     PAPER_TABLE3,
-    PLM_PRETRAIN_STEPS,
-    PLM_PRETRAIN_TEXTS,
     Table3Result,
+    baseline_kwargs,
     render,
 )
 from repro.models.registry import TABLE3_ORDER, create_model
@@ -22,14 +21,8 @@ _REPORTS: dict[str, EvalReport] = {}
 
 
 def _train_and_eval(name, dataset, splits):
-    kwargs = {}
-    if name in ("roberta", "deberta"):
-        kwargs["pretrain_texts"] = dataset.pretrain_texts[:PLM_PRETRAIN_TEXTS]
-        kwargs["pretrain_steps"] = PLM_PRETRAIN_STEPS
-    model = create_model(name, **kwargs)
-    model.fit(splits.train, splits.validation)
-    y_test = np.array([int(w.label) for w in splits.test])
-    return EvalReport.compute(model.name, y_test, model.predict(splits.test))
+    model = create_model(name, **baseline_kwargs(name, dataset))
+    return evaluate(model, splits)
 
 
 @pytest.mark.parametrize("name", TABLE3_ORDER)

@@ -1,11 +1,9 @@
 """Annotation platform substrate, simulated annotators, and QC protocol."""
 
 from repro.annotation.agreement import (
-    cohen_kappa,
     fleiss_kappa,
     fleiss_kappa_from_annotations,
     interpret_kappa,
-    percent_agreement,
     rating_matrix,
 )
 from repro.annotation.annotators import (
@@ -24,15 +22,12 @@ from repro.annotation.process import (
     CampaignResult,
     DailyLog,
     TrainingReport,
-    annotate_corpus,
 )
 
 __all__ = [
-    "cohen_kappa",
     "fleiss_kappa",
     "fleiss_kappa_from_annotations",
     "interpret_kappa",
-    "percent_agreement",
     "rating_matrix",
     "ExpertSupervisor",
     "Judgement",
@@ -45,5 +40,4 @@ __all__ = [
     "CampaignResult",
     "DailyLog",
     "TrainingReport",
-    "annotate_corpus",
 ]

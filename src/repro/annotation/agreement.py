@@ -78,47 +78,6 @@ def fleiss_kappa_from_annotations(
     return fleiss_kappa(rating_matrix(annotations, num_categories))
 
 
-def cohen_kappa(
-    rater_a: Sequence[RiskLevel | int],
-    rater_b: Sequence[RiskLevel | int],
-    num_categories: int = NUM_CLASSES,
-) -> float:
-    """Cohen's κ between two raters over the same subjects."""
-    if len(rater_a) != len(rater_b):
-        raise AnnotationError("raters must label the same subjects")
-    if not rater_a:
-        raise AnnotationError("no annotations supplied")
-    a = np.array([int(x) for x in rater_a])
-    b = np.array([int(x) for x in rater_b])
-    n = len(a)
-    confusion = np.zeros((num_categories, num_categories), dtype=np.float64)
-    for i, j in zip(a, b):
-        confusion[i, j] += 1
-    p_o = np.trace(confusion) / n
-    p_e = float((confusion.sum(axis=1) / n) @ (confusion.sum(axis=0) / n))
-    if np.isclose(p_e, 1.0):
-        return 1.0
-    return float((p_o - p_e) / (1.0 - p_e))
-
-
-def percent_agreement(
-    annotations: Sequence[Sequence[RiskLevel | int]],
-) -> float:
-    """Mean pairwise percent agreement across subjects."""
-    if not annotations:
-        raise AnnotationError("no annotations supplied")
-    total, agreeing = 0, 0
-    for ratings in annotations:
-        ints = [int(r) for r in ratings]
-        for i in range(len(ints)):
-            for j in range(i + 1, len(ints)):
-                total += 1
-                agreeing += int(ints[i] == ints[j])
-    if total == 0:
-        raise AnnotationError("need >= 2 ratings per subject")
-    return agreeing / total
-
-
 def interpret_kappa(kappa: float) -> str:
     """Landis & Koch qualitative band for a κ value."""
     if kappa < 0.0:

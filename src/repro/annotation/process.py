@@ -323,10 +323,3 @@ class AnnotationCampaign:
                     f"{inspection_accuracy:.3f} < {cfg.inspection_accuracy_gate}"
                 )
         return daily_logs
-
-
-def annotate_corpus(
-    posts: list[RedditPost], config: AnnotationConfig | None = None
-) -> CampaignResult:
-    """Run the full simulated campaign over a post list."""
-    return AnnotationCampaign(config).run(posts)

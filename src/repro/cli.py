@@ -81,17 +81,13 @@ def cmd_stats(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from repro.eval.reporting import to_markdown
-    from repro.eval.runner import evaluate_model
+    from repro.eval.runner import run_jobs
+    from repro.experiments.table3_baselines import baseline_kwargs
+    from repro.models import create_model
 
-    result = build_dataset(_config(args))
-    splits = result.dataset.splits()
-    kwargs = {}
-    if args.model in ("roberta", "deberta"):
-        kwargs["pretrain_texts"] = result.dataset.pretrain_texts[:6000]
-    report = evaluate_model(
-        args.model, splits.train, splits.validation, splits.test, **kwargs
-    )
-    print(to_markdown([report]))
+    dataset = build_dataset(_config(args)).dataset
+    model = create_model(args.model, **baseline_kwargs(args.model, dataset))
+    print(to_markdown(run_jobs([(model, dataset.splits())])))
     return 0
 
 

@@ -30,7 +30,6 @@ from repro.core.schema import (
     TABLE1_DISTRIBUTION,
     LabelDistribution,
     RiskLevel,
-    guideline_for,
 )
 
 __all__ = [
@@ -62,5 +61,4 @@ __all__ = [
     "TABLE1_DISTRIBUTION",
     "LabelDistribution",
     "RiskLevel",
-    "guideline_for",
 ]

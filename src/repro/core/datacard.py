@@ -110,14 +110,3 @@ def render_datacard(
     if options.include_ethics:
         parts.append(_privacy_section())
     return "\n".join(parts)
-
-
-def write_datacard(
-    dataset: RSD15K, path, options: DatacardOptions | None = None
-) -> None:
-    """Write the datasheet next to a released dataset."""
-    from pathlib import Path
-
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(render_datacard(dataset, options), encoding="utf-8")

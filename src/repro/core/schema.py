@@ -151,15 +151,6 @@ ANNOTATION_GUIDELINE: tuple[AnnotationCriterion, ...] = (
 )
 
 
-def guideline_for(level: RiskLevel | int | str) -> AnnotationCriterion:
-    """Return the annotation criterion for a label."""
-    level = RiskLevel.from_any(level)
-    for criterion in ANNOTATION_GUIDELINE:
-        if criterion.level == level:
-            return criterion
-    raise SchemaError(f"no guideline for {level!r}")  # pragma: no cover
-
-
 @dataclass(frozen=True)
 class LabelDistribution:
     """Counts per risk level with convenience accessors."""

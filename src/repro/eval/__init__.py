@@ -12,7 +12,8 @@ from repro.eval.reporting import to_csv, to_json, to_markdown
 from repro.eval.runner import (
     MetricSummary,
     MultiRunResult,
-    evaluate_model,
+    evaluate,
+    run_jobs,
     run_repeated,
 )
 from repro.eval.splits import WindowSplits, split_users, split_windows
@@ -23,7 +24,8 @@ __all__ = [
     "to_markdown",
     "MetricSummary",
     "MultiRunResult",
-    "evaluate_model",
+    "evaluate",
+    "run_jobs",
     "run_repeated",
     "EvalReport",
     "accuracy",

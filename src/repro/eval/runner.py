@@ -1,14 +1,19 @@
-"""Multi-run experiment runner.
+"""Train-and-evaluate jobs and the one runner that maps them.
 
-The paper notes "all models performed stably across multiple experimental
-runs". This runner repeats train/eval with different seeds and reports
-mean ± std per metric, which is also what the stability experiment in the
-benchmark harness consumes.
+Every model number the experiments report is the same operation: fit an
+unfitted baseline on user-disjoint train/validation windows, predict the
+test windows and score the predictions. :func:`evaluate` is that
+operation and :func:`run_jobs` maps it over a list of ``(model, splits)``
+jobs, serially or across worker processes. :func:`run_repeated` is the
+paper's "all models performed stably across multiple experimental runs"
+protocol as such a job list: one job per seed, summarised as mean ± std.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -18,11 +23,11 @@ from repro import perf
 from repro.core.errors import ExperimentError
 from repro.eval.metrics import EvalReport
 from repro.eval.splits import WindowSplits
+from repro.models.base import RiskModel, window_labels
 from repro.models.registry import create_model
-from repro.temporal.windows import PostWindow
 
-#: Default worker count for :func:`run_repeated` when ``n_jobs`` is not
-#: passed; unset or 1 keeps the serial path.
+#: Worker count of :func:`run_jobs` when ``n_jobs`` is not passed; unset
+#: or 1 keeps the serial path.
 SEED_JOBS_ENV = "REPRO_SEED_JOBS"
 
 
@@ -78,17 +83,47 @@ class MultiRunResult:
         return self.summary("accuracy").std < 0.10
 
 
-def _seed_job(payload) -> EvalReport:
-    """One seed's train/eval round — module-level so it pickles to workers.
+def evaluate(model: RiskModel, splits: WindowSplits) -> EvalReport:
+    """Fit the unfitted ``model`` on ``splits`` and score its test labels.
 
-    All randomness flows from ``create_model(seed=...)``, so a job's report
-    is identical whether it runs in-process or in a forked worker.
+    The caller sets the model's seed, keyword arguments and ``name`` (the
+    report's row name). All randomness flows from those, so the report is
+    the same whether the job runs in-process or in a worker.
     """
-    model_name, splits, seed, model_kwargs = payload
-    model = create_model(model_name, seed=seed, **model_kwargs)
     model.fit(splits.train, splits.validation)
-    y_test = np.array([int(w.label) for w in splits.test])
-    return EvalReport.compute(model.name, y_test, model.predict(splits.test))
+    return EvalReport.compute(
+        model.name, window_labels(splits.test), model.predict(splits.test)
+    )
+
+
+def run_jobs(
+    jobs: Sequence[tuple[RiskModel, WindowSplits]],
+    n_jobs: int | None = None,
+) -> list[EvalReport]:
+    """:func:`evaluate` every ``(model, splits)`` job, in job order.
+
+    ``n_jobs``: number of worker processes. None reads ``REPRO_SEED_JOBS``
+    (default 1 = serial). Workers are spawned, not forked, so a parent
+    with threads cannot deadlock them; each job ships to its worker by
+    pickle and carries its own seed, so the parallel path returns
+    reports bitwise identical to the serial one. Workers fit copies, so
+    read results from the reports, not from the caller's models. A job
+    that raises in a worker re-raises here, after the pool has shut down.
+    """
+    workers = _default_jobs() if n_jobs is None else int(n_jobs)
+    if workers < 1:
+        raise ExperimentError(f"n_jobs must be >= 1, got {workers}")
+    with perf.span("eval.run_jobs"):
+        if workers == 1 or len(jobs) <= 1:
+            reports = [evaluate(model, splits) for model, splits in jobs]
+        else:
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(jobs)),
+                mp_context=multiprocessing.get_context("spawn"),
+            ) as pool:
+                reports = list(pool.map(evaluate, *zip(*jobs)))
+        perf.count("eval.jobs", len(jobs))
+    return reports
 
 
 def run_repeated(
@@ -101,42 +136,13 @@ def run_repeated(
     """Train/evaluate ``model_name`` once per seed on fixed splits.
 
     The splits stay fixed (the paper's protocol re-runs training, not
-    resampling); only initialisation/shuffling seeds vary.
-
-    ``n_jobs``: number of worker processes. None reads ``REPRO_SEED_JOBS``
-    (default 1 = serial). Because every seed carries its own RNG, the
-    parallel path returns reports bitwise identical to the serial one, in
-    seed order.
+    resampling); only initialisation/shuffling seeds vary. ``n_jobs``
+    forwards to :func:`run_jobs`; reports come back in seed order.
     """
     if not seeds:
         raise ExperimentError("at least one seed required")
-    jobs = _default_jobs() if n_jobs is None else int(n_jobs)
-    if jobs < 1:
-        raise ExperimentError(f"n_jobs must be >= 1, got {jobs}")
-    payloads = [(model_name, splits, seed, model_kwargs) for seed in seeds]
-    result = MultiRunResult(model=model_name)
-    with perf.span("run_repeated"):
-        if jobs == 1 or len(seeds) == 1:
-            reports = [_seed_job(p) for p in payloads]
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(seeds))
-            ) as pool:
-                reports = list(pool.map(_seed_job, payloads))
-        perf.count("run_repeated.seeds", len(seeds))
-    result.reports.extend(reports)
-    return result
-
-
-def evaluate_model(
-    model_name: str,
-    train: list[PostWindow],
-    validation: list[PostWindow],
-    test: list[PostWindow],
-    **model_kwargs,
-) -> EvalReport:
-    """One-shot convenience train/eval."""
-    model = create_model(model_name, **model_kwargs)
-    model.fit(train, validation)
-    y_test = np.array([int(w.label) for w in test])
-    return EvalReport.compute(model.name, y_test, model.predict(test))
+    jobs = [
+        (create_model(model_name, seed=seed, **model_kwargs), splits)
+        for seed in seeds
+    ]
+    return MultiRunResult(model=model_name, reports=run_jobs(jobs, n_jobs))

@@ -9,38 +9,17 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.core.config import WindowConfig
 from repro.core.rng import DEFAULT_SEED
-from repro.eval.metrics import EvalReport, accuracy, macro_f1
-from repro.eval.runner import _default_jobs
+from repro.eval.metrics import EvalReport
+from repro.eval.runner import run_jobs
 from repro.experiments.common import BENCH_SCALE, cached_build, format_table
-from repro.models.neural_common import TrainerConfig
+from repro.experiments.table3_baselines import (
+    PLM_PRETRAIN_STEPS,
+    PLM_PRETRAIN_TEXTS,
+)
 from repro.models.roberta import RobertaRiskModel
 from repro.models.xgboost_baseline import XGBoostBaseline
-from repro.temporal.windows import PostWindow
-
-
-@dataclass
-class AblationRow:
-    name: str
-    accuracy_pct: float
-    macro_f1_pct: float
-
-
-def _evaluate(model, train, val, test) -> AblationRow:
-    model.fit(train, val)
-    y = np.array([int(w.label) for w in test])
-    pred = model.predict(test)
-    return AblationRow(
-        name=model.name,
-        accuracy_pct=100 * accuracy(y, pred),
-        macro_f1_pct=100 * macro_f1(y, pred),
-    )
 
 
 class _DimensionOnlyXGBoost(XGBoostBaseline):
@@ -74,79 +53,51 @@ class _DimensionOnlyXGBoost(XGBoostBaseline):
         )
 
 
-def _run_jobs(job, payloads, n_jobs):
-    """Map ``job`` over ``payloads``, optionally across worker processes.
-
-    Each configuration is seeded independently, so the parallel path
-    returns the same rows as the serial one, in payload order. Workers are
-    forked, so they inherit the parent's ``cached_build`` memo and never
-    rebuild the dataset.
-    """
-    jobs = _default_jobs() if n_jobs is None else int(n_jobs)
-    if jobs <= 1 or len(payloads) <= 1:
-        return [job(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(job, payloads))
-
-
-def _dimension_job(payload) -> AblationRow:
-    scale, seed, dim = payload
-    splits = cached_build(scale, seed).dataset.splits()
-    model = XGBoostBaseline() if dim is None else _DimensionOnlyXGBoost(dim)
-    return _evaluate(model, splits.train, splits.validation, splits.test)
-
-
 def feature_dimension_ablation(
-    scale: float = BENCH_SCALE,
-    seed: int = DEFAULT_SEED,
-    n_jobs: int | None = None,
-) -> list[AblationRow]:
+    scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED
+) -> list[EvalReport]:
     """XGBoost with all features vs each dimension alone."""
-    payloads = [
-        (scale, seed, dim) for dim in (None, "time", "sequence", "text")
+    splits = cached_build(scale, seed).dataset.splits()
+    models = [XGBoostBaseline()] + [
+        _DimensionOnlyXGBoost(dim) for dim in ("time", "sequence", "text")
     ]
-    return _run_jobs(_dimension_job, payloads, n_jobs)
+    return run_jobs([(model, splits) for model in models])
 
 
 def pretraining_ablation(
     scale: float = BENCH_SCALE,
     seed: int = DEFAULT_SEED,
-    pretrain_steps: int = 400,
-) -> list[AblationRow]:
+    pretrain_steps: int = PLM_PRETRAIN_STEPS,
+) -> list[EvalReport]:
     """RoBERTa with vs without MLM domain pretraining."""
-    build = cached_build(scale, seed)
-    splits = build.dataset.splits()
-    pretrain = build.dataset.pretrain_texts[:6000]
-    rows = []
+    dataset = cached_build(scale, seed).dataset
+    splits = dataset.splits()
+    pretrain = dataset.pretrain_texts[:PLM_PRETRAIN_TEXTS]
+    jobs = []
     for steps, tag in ((pretrain_steps, "MLM"), (0, "no-MLM")):
         model = RobertaRiskModel(
             pretrain_texts=pretrain, pretrain_steps=steps, seed=seed
         )
         model.name = f"RoBERTa[{tag}]"
-        rows.append(
-            _evaluate(model, splits.train, splits.validation, splits.test)
-        )
-    return rows
-
-
-def _window_job(payload) -> AblationRow:
-    scale, seed, size = payload
-    dataset = cached_build(scale, seed).dataset
-    splits = dataset.splits(window_config=WindowConfig(size=size))
-    model = XGBoostBaseline()
-    model.name = f"XGBoost[w={size}]"
-    return _evaluate(model, splits.train, splits.validation, splits.test)
+        jobs.append((model, splits))
+    return run_jobs(jobs)
 
 
 def window_size_ablation(
     scale: float = BENCH_SCALE,
     seed: int = DEFAULT_SEED,
     sizes: tuple[int, ...] = (1, 3, 5),
-    n_jobs: int | None = None,
-) -> list[AblationRow]:
+) -> list[EvalReport]:
     """The stable 5-element window vs truncated histories (XGBoost)."""
-    payloads = [(scale, seed, size) for size in sizes]
-    return _run_jobs(_window_job, payloads, n_jobs)
+    dataset = cached_build(scale, seed).dataset
+    jobs = []
+    for size in sizes:
+        model = XGBoostBaseline()
+        model.name = f"XGBoost[w={size}]"
+        jobs.append(
+            (model, dataset.splits(window_config=WindowConfig(size=size)))
+        )
+    return run_jobs(jobs)
 
 
 def voting_ablation(
@@ -173,31 +124,29 @@ def voting_ablation(
 
 def embedding_init_ablation(
     scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED
-) -> list[AblationRow]:
+) -> list[EvalReport]:
     """BiLSTM with random vs SGNS-pretrained word embeddings."""
     from repro.models.bilstm import TimeAwareBiLSTM
     from repro.text.embeddings import SGNSConfig, train_embeddings
 
-    build = cached_build(scale, seed)
-    splits = build.dataset.splits()
-    rows = []
+    dataset = cached_build(scale, seed).dataset
+    splits = dataset.splits()
     embeddings = train_embeddings(
-        build.dataset.pretrain_texts[:3000],
+        dataset.pretrain_texts[:3000],
         config=SGNSConfig(dim=64, epochs=1, seed=seed),
     )
+    jobs = []
     for pretrained, tag in ((embeddings, "SGNS-init"), (None, "random-init")):
         model = TimeAwareBiLSTM(pretrained_embeddings=pretrained, seed=seed)
         model.name = f"BiLSTM[{tag}]"
-        rows.append(
-            _evaluate(model, splits.train, splits.validation, splits.test)
-        )
-    return rows
+        jobs.append((model, splits))
+    return run_jobs(jobs)
 
 
-def render(rows: list[AblationRow]) -> str:
+def render(reports: list[EvalReport]) -> str:
     return format_table(
         ["configuration", "Acc%", "MacroF1%"],
-        [[r.name, r.accuracy_pct, r.macro_f1_pct] for r in rows],
+        [[r.model, 100 * r.accuracy, 100 * r.macro_f1] for r in reports],
     )
 
 

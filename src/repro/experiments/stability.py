@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.core.rng import DEFAULT_SEED
 from repro.eval.runner import MultiRunResult, run_repeated
 from repro.experiments.common import BENCH_SCALE, cached_build, format_table
+from repro.experiments.table3_baselines import baseline_kwargs
 
 
 def run(
@@ -18,20 +19,15 @@ def run(
     seed: int = DEFAULT_SEED,
     model: str = "xgboost",
     seeds: tuple[int, ...] = (0, 1, 2),
-    n_jobs: int | None = None,
 ) -> MultiRunResult:
     """Repeat train/eval of ``model`` across ``seeds``.
 
-    ``n_jobs`` forwards to :func:`run_repeated`; None reads
-    ``REPRO_SEED_JOBS`` (seeds run in parallel processes when > 1).
+    PLMs read Table III's pretraining texts but run 300 MLM steps, not
+    its 400. ``REPRO_SEED_JOBS`` runs the seeds in worker processes.
     """
     dataset = cached_build(scale, seed).dataset
-    splits = dataset.splits()
-    kwargs = {}
-    if model in ("roberta", "deberta"):
-        kwargs["pretrain_texts"] = dataset.pretrain_texts[:6000]
-        kwargs["pretrain_steps"] = 300
-    return run_repeated(model, splits, seeds=seeds, n_jobs=n_jobs, **kwargs)
+    kwargs = baseline_kwargs(model, dataset, pretrain_steps=300)
+    return run_repeated(model, dataset.splits(), seeds=seeds, **kwargs)
 
 
 def render(result: MultiRunResult) -> str:

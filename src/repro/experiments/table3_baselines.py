@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.core.dataset import RSD15K
 from repro.core.rng import DEFAULT_SEED
 from repro.eval.metrics import EvalReport
+from repro.eval.runner import run_jobs
 from repro.experiments.common import BENCH_SCALE, cached_build, format_table
 from repro.models.registry import TABLE3_ORDER, create_model
 
@@ -37,10 +37,26 @@ PAPER_TABLE3: dict[str, tuple[float, ...]] = {
     "DeBERTa": (76.0, 77.0, 76.0, 78.9, 76.0, 77.0),
 }
 
-#: Per-model keyword overrides used by the harness (pretraining corpora
-#: are injected at run time).
+#: MLM pretraining budget of the PLM baselines: the step count and how
+#: many of the dataset's unlabelled pretraining texts it reads.
 PLM_PRETRAIN_STEPS = 400
 PLM_PRETRAIN_TEXTS = 6000
+
+
+def baseline_kwargs(
+    name: str, dataset: RSD15K, pretrain_steps: int = PLM_PRETRAIN_STEPS
+) -> dict:
+    """Constructor keywords of baseline ``name`` on ``dataset``.
+
+    The PLMs get the pretraining corpus and MLM budget; the other
+    baselines run on their defaults.
+    """
+    if name not in ("roberta", "deberta"):
+        return {}
+    return {
+        "pretrain_texts": dataset.pretrain_texts[:PLM_PRETRAIN_TEXTS],
+        "pretrain_steps": pretrain_steps,
+    }
 
 
 @dataclass
@@ -75,21 +91,14 @@ def run(
     pretrain_steps: int = PLM_PRETRAIN_STEPS,
 ) -> Table3Result:
     """Train and evaluate the requested baselines on one dataset build."""
-    build = cached_build(scale, seed)
-    dataset = build.dataset
+    dataset = cached_build(scale, seed).dataset
     splits = dataset.splits()
-    y_test = np.array([int(w.label) for w in splits.test])
-    reports = []
-    for name in models:
-        kwargs = {}
-        if name in ("roberta", "deberta"):
-            kwargs["pretrain_texts"] = dataset.pretrain_texts[:PLM_PRETRAIN_TEXTS]
-            kwargs["pretrain_steps"] = pretrain_steps
-        model = create_model(name, **kwargs)
-        model.fit(splits.train, splits.validation)
-        predictions = model.predict(splits.test)
-        reports.append(EvalReport.compute(model.name, y_test, predictions))
-    return Table3Result(reports=reports)
+    jobs = [
+        (create_model(name, **baseline_kwargs(name, dataset, pretrain_steps)),
+         splits)
+        for name in models
+    ]
+    return Table3Result(reports=run_jobs(jobs))
 
 
 def render(result: Table3Result) -> str:

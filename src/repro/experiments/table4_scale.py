@@ -14,13 +14,18 @@ tuned model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.rng import DEFAULT_SEED, stream
 from repro.eval.metrics import EvalReport
+from repro.eval.runner import run_jobs
 from repro.experiments.common import BENCH_SCALE, cached_build, format_table
+from repro.experiments.table3_baselines import (
+    PLM_PRETRAIN_STEPS,
+    PLM_PRETRAIN_TEXTS,
+)
 from repro.models.deberta import DebertaRiskModel
 from repro.models.neural_common import TrainerConfig
 from repro.models.plm import PLMConfig
@@ -65,14 +70,12 @@ def _balanced_subset(windows, target_size: int, seed: int):
 def run(
     scale: float = BENCH_SCALE,
     seed: int = DEFAULT_SEED,
-    pretrain_steps: int = 400,
+    pretrain_steps: int = PLM_PRETRAIN_STEPS,
 ) -> Table4Result:
     """Run both Table IV configurations on one dataset build."""
-    build = cached_build(scale, seed)
-    dataset = build.dataset
+    dataset = cached_build(scale, seed).dataset
     splits = dataset.splits()
-    y_test = np.array([int(w.label) for w in splits.test])
-    pretrain = dataset.pretrain_texts[:6000]
+    pretrain = dataset.pretrain_texts[:PLM_PRETRAIN_TEXTS]
 
     # -- small data + large model + full optimisation -----------------------
     small_n = max(24, int(round(len(splits.train) * SMALL_DATA_RATIO * 10)))
@@ -90,10 +93,6 @@ def run(
         pretrain_steps=pretrain_steps,
         seed=seed,
     )
-    large_model.fit(small_train, splits.validation)
-    small_report = EvalReport.compute(
-        "DeBERTa-Large@500", y_test, large_model.predict(splits.test)
-    )
 
     # -- large data + base model + no optimisation ---------------------------
     default_trainer = TrainerConfig(
@@ -107,11 +106,16 @@ def run(
         pretrain_steps=pretrain_steps,
         seed=seed,
     )
-    base_model.fit(splits.train, splits.validation)
-    large_report = EvalReport.compute(
-        "DeBERTa-Base@full", y_test, base_model.predict(splits.test)
+    small_report, large_report = run_jobs([
+        (large_model, replace(splits, train=small_train)),
+        (base_model, splits),
+    ])
+    # Rows are renamed after the fit: the PLM's init stream is keyed by
+    # ``model.name``, so renaming the model itself would retrain it.
+    return Table4Result(
+        small_data=replace(small_report, model="DeBERTa-Large@500"),
+        large_data=replace(large_report, model="DeBERTa-Base@full"),
     )
-    return Table4Result(small_data=small_report, large_data=large_report)
 
 
 def render(result: Table4Result) -> str:

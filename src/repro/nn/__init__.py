@@ -8,8 +8,6 @@ from repro.nn.attention import (
 )
 from repro.nn.data import (
     batches,
-    class_balanced_indices,
-    pad_feature_sequences,
     pad_sequences,
 )
 from repro.nn.layers import (
@@ -22,12 +20,11 @@ from repro.nn.layers import (
     Sequential,
     Tanh,
 )
-from repro.nn.losses import IGNORE_INDEX, cross_entropy, mse_loss
+from repro.nn.losses import IGNORE_INDEX, cross_entropy
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.optim import (
     SGD,
     Adam,
-    AdamW,
     LRSchedule,
     Optimizer,
     WarmupLinearDecay,
@@ -49,8 +46,6 @@ __all__ = [
     "TemporalDecayAttention",
     "relative_position_index",
     "batches",
-    "class_balanced_indices",
-    "pad_feature_sequences",
     "pad_sequences",
     "GELU",
     "Dropout",
@@ -62,13 +57,11 @@ __all__ = [
     "Tanh",
     "IGNORE_INDEX",
     "cross_entropy",
-    "mse_loss",
     "Module",
     "ModuleList",
     "Parameter",
     "SGD",
     "Adam",
-    "AdamW",
     "LRSchedule",
     "Optimizer",
     "WarmupLinearDecay",

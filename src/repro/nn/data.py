@@ -31,26 +31,6 @@ def pad_sequences(
     return ids, mask
 
 
-def pad_feature_sequences(
-    sequences: Sequence[np.ndarray], max_len: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad (Tᵢ, D) float matrices into (B, T, D) + (B, T) mask."""
-    if not sequences:
-        return np.zeros((0, 0, 0)), np.zeros((0, 0))
-    clipped = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if max_len is not None:
-        clipped = [s[-max_len:] for s in clipped]
-    width = max(1, max(s.shape[0] for s in clipped))
-    dim = clipped[0].shape[1] if clipped[0].ndim == 2 else 1
-    out = np.zeros((len(clipped), width, dim))
-    mask = np.zeros((len(clipped), width))
-    for i, seq in enumerate(clipped):
-        seq = seq.reshape(seq.shape[0], -1)
-        out[i, : seq.shape[0], :] = seq
-        mask[i, : seq.shape[0]] = 1.0
-    return out, mask
-
-
 def batches(
     n: int,
     batch_size: int,
@@ -69,25 +49,3 @@ def batches(
         if drop_last and len(batch) < batch_size:
             return
         yield batch
-
-
-def class_balanced_indices(
-    labels: np.ndarray, rng: np.random.Generator, per_class: int | None = None
-) -> np.ndarray:
-    """Oversample so every class appears equally often.
-
-    Used by the Table IV small-data configuration ("data balance
-    sampling").
-    """
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    counts = {c: int((labels == c).sum()) for c in classes}
-    target = per_class or max(counts.values())
-    picked = []
-    for c in classes:
-        pool = np.nonzero(labels == c)[0]
-        draw = rng.choice(pool, size=target, replace=len(pool) < target)
-        picked.append(draw)
-    out = np.concatenate(picked)
-    rng.shuffle(out)
-    return out

@@ -63,8 +63,3 @@ def cross_entropy(
     eps = label_smoothing
     return (1.0 - eps) * nll + eps * smooth
 
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error."""
-    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()

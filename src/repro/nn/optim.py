@@ -101,22 +101,6 @@ class Adam(Optimizer):
             p.data -= self.lr * update
 
 
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def __init__(
-        self,
-        parameters,
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ) -> None:
-        super().__init__(
-            parameters, lr, betas, eps, weight_decay=weight_decay, decoupled=True
-        )
-
-
 class LRSchedule:
     """Callable mapping step → learning-rate multiplier, applied to an
     optimizer via :meth:`apply`."""

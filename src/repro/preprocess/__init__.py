@@ -20,7 +20,6 @@ from repro.preprocess.partition import (
     assert_chronological,
     group_by_user,
     slice_window,
-    split_by_date,
 )
 from repro.preprocess.pipeline import (
     PreprocessPipeline,
@@ -46,7 +45,6 @@ __all__ = [
     "assert_chronological",
     "group_by_user",
     "slice_window",
-    "split_by_date",
     "PreprocessPipeline",
     "PreprocessReport",
     "PreprocessResult",

@@ -66,12 +66,3 @@ def slice_window(
     if max_posts is not None:
         posts = posts[-max_posts:]
     return posts
-
-
-def split_by_date(
-    posts: list[RedditPost], boundary: datetime
-) -> tuple[list[RedditPost], list[RedditPost]]:
-    """Partition posts into (before, at-or-after) a boundary instant."""
-    before = [p for p in posts if p.created_utc < boundary]
-    after = [p for p in posts if p.created_utc >= boundary]
-    return before, after

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.annotation.agreement import (
-    cohen_kappa,
     fleiss_kappa,
     fleiss_kappa_from_annotations,
     interpret_kappa,
-    percent_agreement,
     rating_matrix,
 )
 from repro.core.errors import AnnotationError
@@ -84,40 +82,6 @@ class TestFleissKappa:
     def test_bounded_above_by_one(self, ratings):
         kappa = fleiss_kappa_from_annotations(ratings)
         assert kappa <= 1.0 + 1e-9
-
-
-class TestCohenKappa:
-    def test_perfect(self):
-        assert cohen_kappa([0, 1, 2, 3], [0, 1, 2, 3]) == pytest.approx(1.0)
-
-    def test_known_value(self):
-        # 2x2 example: po = 0.7, pe = 0.4·0.4 + 0.6·0.6 = 0.52,
-        # kappa = (0.7 − 0.52) / 0.48 = 0.375.
-        a = [0] * 25 + [0] * 15 + [1] * 15 + [1] * 45
-        b = [0] * 25 + [1] * 15 + [0] * 15 + [1] * 45
-        assert cohen_kappa(a, b, num_categories=2) == pytest.approx(
-            0.375, abs=0.01
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(AnnotationError):
-            cohen_kappa([0, 1], [0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnnotationError):
-            cohen_kappa([], [])
-
-
-class TestPercentAgreement:
-    def test_full_agreement(self):
-        assert percent_agreement([[1, 1, 1], [0, 0, 0]]) == 1.0
-
-    def test_partial(self):
-        assert percent_agreement([[0, 0, 1]]) == pytest.approx(1 / 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnnotationError):
-            percent_agreement([])
 
 
 class TestInterpretation:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.annotation.process import AnnotationCampaign, annotate_corpus
+from repro.annotation.process import AnnotationCampaign
 from repro.core.config import AnnotationConfig
 from repro.core.errors import TrainingGateError
 from repro.corpus import generate_corpus
@@ -18,7 +18,7 @@ def clean_posts():
 
 @pytest.fixture(scope="module")
 def campaign_result(clean_posts):
-    return annotate_corpus(clean_posts)
+    return AnnotationCampaign().run(clean_posts)
 
 
 class TestTrainingGate:
@@ -33,7 +33,7 @@ class TestTrainingGate:
 
     def test_no_posts_rejected(self):
         with pytest.raises(TrainingGateError):
-            annotate_corpus([])
+            AnnotationCampaign().run([])
 
 
 class TestCampaignOutput:
@@ -77,8 +77,8 @@ class TestCampaignOutput:
         )
 
     def test_deterministic_given_seed(self, clean_posts):
-        a = annotate_corpus(clean_posts[:300])
-        b = annotate_corpus(clean_posts[:300])
+        a = AnnotationCampaign().run(clean_posts[:300])
+        b = AnnotationCampaign().run(clean_posts[:300])
         assert a.labels == b.labels
         assert a.kappa == b.kappa
 

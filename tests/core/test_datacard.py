@@ -3,7 +3,6 @@
 from repro.core.datacard import (
     DatacardOptions,
     render_datacard,
-    write_datacard,
 )
 
 
@@ -46,11 +45,3 @@ class TestRender:
     def test_crawl_window_in_card(self, small_dataset):
         card = render_datacard(small_dataset)
         assert "2020" in card or "2021" in card
-
-
-class TestWrite:
-    def test_writes_file(self, small_dataset, tmp_path):
-        target = tmp_path / "cards" / "DATASHEET.md"
-        write_datacard(small_dataset, target)
-        assert target.exists()
-        assert "Dataset card" in target.read_text()

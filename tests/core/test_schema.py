@@ -10,7 +10,6 @@ from repro.core.schema import (
     TABLE1_DISTRIBUTION,
     LabelDistribution,
     RiskLevel,
-    guideline_for,
 )
 
 
@@ -61,12 +60,10 @@ class TestGuideline:
         covered = {criterion.level for criterion in ANNOTATION_GUIDELINE}
         assert covered == set(ALL_LEVELS)
 
-    def test_guideline_for_accepts_any_representation(self):
-        assert guideline_for("AT").level is RiskLevel.ATTEMPT
-        assert guideline_for(0).level is RiskLevel.INDICATOR
-
     def test_indicator_covers_third_party(self):
-        criterion = guideline_for(RiskLevel.INDICATOR)
+        criterion = next(
+            c for c in ANNOTATION_GUIDELINE if c.level is RiskLevel.INDICATOR
+        )
         assert any("third" in inc for inc in criterion.includes)
 
 

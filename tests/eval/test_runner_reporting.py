@@ -9,7 +9,8 @@ from repro.boosting import GBMParams
 from repro.core.errors import ExperimentError
 from repro.eval.metrics import EvalReport
 from repro.eval.reporting import to_csv, to_json, to_markdown
-from repro.eval.runner import MultiRunResult, evaluate_model, run_repeated
+from repro.eval.runner import MultiRunResult, evaluate, run_repeated
+from repro.models import create_model
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +49,15 @@ class TestReporting:
 
 class TestRunner:
     def test_evaluate_model(self, small_splits):
-        report = evaluate_model(
+        model = create_model(
             "xgboost",
-            small_splits.train,
-            small_splits.validation,
-            small_splits.test,
             params=GBMParams(n_estimators=6, max_depth=3),
             max_tfidf_features=60,
         )
+        report = evaluate(model, small_splits)
+        assert report.model == "XGBoost"
         assert 0.0 <= report.accuracy <= 1.0
+        assert sum(report.support.values()) == len(small_splits.test)
 
     def test_run_repeated_aggregates(self, small_splits):
         result = run_repeated(

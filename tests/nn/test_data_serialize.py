@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
-    batches,
-    class_balanced_indices,
-    pad_feature_sequences,
-    pad_sequences,
-)
+from repro.nn import batches, pad_sequences
 
 
 class TestPadSequences:
@@ -30,19 +25,6 @@ class TestPadSequences:
         assert ids[0, 1] == 9
 
 
-class TestPadFeatures:
-    def test_shape_and_mask(self):
-        seqs = [np.ones((2, 4)), np.ones((5, 4))]
-        out, mask = pad_feature_sequences(seqs)
-        assert out.shape == (2, 5, 4)
-        assert mask.sum() == 7
-
-    def test_max_len_truncates_tail_kept(self):
-        seq = np.arange(12).reshape(6, 2).astype(float)
-        out, _ = pad_feature_sequences([seq], max_len=2)
-        assert np.allclose(out[0], seq[-2:])
-
-
 class TestBatches:
     def test_covers_everything_once(self):
         seen = np.concatenate(list(batches(10, 3)))
@@ -61,18 +43,3 @@ class TestBatches:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             list(batches(10, 0))
-
-
-class TestClassBalance:
-    def test_equalises_class_counts(self, rng):
-        labels = np.array([0] * 50 + [1] * 5 + [2] * 10)
-        idx = class_balanced_indices(labels, rng)
-        balanced = labels[idx]
-        counts = np.bincount(balanced)
-        assert counts[0] == counts[1] == counts[2]
-
-    def test_per_class_override(self, rng):
-        labels = np.array([0, 0, 1])
-        idx = class_balanced_indices(labels, rng, per_class=4)
-        assert len(idx) == 8
-

@@ -7,13 +7,11 @@ from repro.core.errors import ShapeError
 from repro.nn import (
     SGD,
     Adam,
-    AdamW,
     IGNORE_INDEX,
     Tensor,
     WarmupLinearDecay,
     clip_grad_norm,
     cross_entropy,
-    mse_loss,
 )
 from repro.nn.module import Parameter
 
@@ -76,14 +74,6 @@ class TestAdam:
         p = Parameter(np.ones(2))
         Adam([p], lr=0.1).step()  # no grad -> no movement
         assert np.allclose(p.data, 1.0)
-
-    def test_adamw_decays_weights(self):
-        p = Parameter(np.array([10.0]))
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.zeros(1)
-        opt.step()
-        assert p.data[0] < 10.0
-
 
 class TestClip:
     def test_scales_to_max_norm(self):
@@ -165,10 +155,3 @@ class TestCrossEntropy:
         expected = probs.copy()
         expected[0, 1] -= 1.0
         assert np.allclose(logits.grad, expected, atol=1e-9)
-
-
-class TestMSE:
-    def test_value(self):
-        pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = mse_loss(pred, np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)

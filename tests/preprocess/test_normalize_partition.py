@@ -11,7 +11,6 @@ from repro.preprocess.partition import (
     assert_chronological,
     group_by_user,
     slice_window,
-    split_by_date,
 )
 
 
@@ -98,11 +97,3 @@ class TestSliceWindow:
 
     def test_no_constraints_returns_all(self):
         assert len(slice_window(self._history())) == 10
-
-
-class TestSplitByDate:
-    def test_partition(self):
-        posts = [make_post("a", T0 + timedelta(days=i), f"p{i}") for i in range(6)]
-        before, after = split_by_date(posts, T0 + timedelta(days=3))
-        assert [p.post_id for p in before] == ["p0", "p1", "p2"]
-        assert [p.post_id for p in after] == ["p3", "p4", "p5"]
