@@ -6,7 +6,8 @@ build       Build a dataset and write it to JSONL.
 stats       Print Table-I-style statistics of a JSONL dataset.
 evaluate    Train a baseline on a freshly built dataset and report metrics.
 bench       Run one paper experiment (table1..table4, fig1, fig23, fig4,
-            kappa, ablations).
+            kappa, ablations, stability, evolution) at --scale/--seed.
+            This is the one entry point to the paper's evaluation.
 metrics     Exercise the serving stack, then export telemetry as
             Prometheus exposition text or a JSON snapshot (or render a
             previously saved snapshot with --input).
@@ -22,10 +23,27 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import perf
+from repro import experiments, perf
 from repro.core.config import CorpusConfig
 from repro.core.dataset import RSD15K
+from repro.core.errors import ReproError
 from repro.core.pipeline import build_dataset
+from repro.core.rng import DEFAULT_SEED
+
+#: ``bench`` experiment name → its module in ``repro.experiments``.
+BENCH_EXPERIMENTS = {
+    "table1": "table1_distribution",
+    "table2": "table2_comparison",
+    "table3": "table3_baselines",
+    "table4": "table4_scale",
+    "fig1": "fig1_posts_per_user",
+    "fig23": "fig23_wordclouds",
+    "fig4": "fig4_top_users",
+    "kappa": "kappa_consistency",
+    "ablations": "ablations",
+    "stability": "stability",
+    "evolution": "evolution_analysis",
+}
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:
@@ -92,30 +110,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.experiments import (
-        ablations,
-        fig1_posts_per_user,
-        fig23_wordclouds,
-        fig4_top_users,
-        kappa_consistency,
-        table1_distribution,
-        table2_comparison,
-        table3_baselines,
-        table4_scale,
-    )
-
-    mains = {
-        "table1": table1_distribution.main,
-        "table2": table2_comparison.main,
-        "table3": table3_baselines.main,
-        "table4": table4_scale.main,
-        "fig1": fig1_posts_per_user.main,
-        "fig23": fig23_wordclouds.main,
-        "fig4": fig4_top_users.main,
-        "kappa": kappa_consistency.main,
-        "ablations": ablations.main,
-    }
-    mains[args.experiment]()
+    module = getattr(experiments, BENCH_EXPERIMENTS[args.experiment])
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    module.main(args.scale, seed)
     return 0
 
 
@@ -258,12 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_bench = sub.add_parser("bench", help="run one paper experiment")
-    p_bench.add_argument(
-        "experiment",
-        choices=["table1", "table2", "table3", "table4", "fig1", "fig23",
-                 "fig4", "kappa", "ablations"],
-    )
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.add_argument("experiment", choices=list(BENCH_EXPERIMENTS))
+    _add_scale(p_bench)
+    p_bench.set_defaults(func=cmd_bench, scale=experiments.BENCH_SCALE)
 
     p_metrics = sub.add_parser(
         "metrics",
@@ -309,6 +303,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ReproError as exc:
+        # Bad input (a scale outside (0, 1], a malformed dataset file)
+        # is reported like an argparse error, not as a traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     finally:
         # REPRO_PERF=1 appends the span report to any command's output —
         # on error paths too (a failed run is exactly when the profile

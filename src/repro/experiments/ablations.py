@@ -150,22 +150,22 @@ def render(reports: list[EvalReport]) -> str:
     )
 
 
-def main() -> None:
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
     print("Ablation: feature dimensions (XGBoost)")
-    print(render(feature_dimension_ablation()))
+    dimensions = feature_dimension_ablation(scale, seed)
+    print(render(dimensions))
+    best_single = max(100 * r.accuracy for r in dimensions[1:])
+    print("all features within 10pp of the best single dimension:",
+          100 * dimensions[0].accuracy >= best_single - 10.0)
     print()
     print("Ablation: window size")
-    print(render(window_size_ablation()))
+    print(render(window_size_ablation(scale, seed)))
     print()
     print("Ablation: voting vs solo label noise")
-    print(voting_ablation())
+    print(voting_ablation(scale, seed))
     print()
     print("Ablation: MLM pretraining (RoBERTa)")
-    print(render(pretraining_ablation()))
+    print(render(pretraining_ablation(scale, seed)))
     print()
     print("Ablation: embedding initialisation (BiLSTM)")
-    print(render(embedding_init_ablation()))
-
-
-if __name__ == "__main__":
-    main()
+    print(render(embedding_init_ablation(scale, seed)))

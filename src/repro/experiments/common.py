@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from repro.core.cache import build_dataset_cached
 from repro.core.config import CorpusConfig
 from repro.core.pipeline import BuildResult
 from repro.core.rng import DEFAULT_SEED
 
-#: Default corpus fraction used by the benchmark harness. Chosen so the
+#: Default corpus fraction of ``python -m repro bench``. Chosen so the
 #: full Table III (five models, four of them trained from scratch) runs in
-#: minutes on a laptop; pass ``scale=1.0`` for the paper-sized corpus.
+#: minutes on a laptop; pass ``--scale 1.0`` for the paper-sized corpus.
 BENCH_SCALE = 0.3
 
 
@@ -20,28 +19,20 @@ BENCH_SCALE = 0.3
 def cached_build(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> BuildResult:
     """Build (or reuse) the synthetic dataset for experiments.
 
-    Memoised per (scale, seed) so that the benchmark suite — which touches
-    the dataset from many modules — only pays the build cost once per
-    process, and read through the on-disk content-addressed cache (set
-    ``REPRO_CACHE_DIR``) so repeat *sessions* skip the build entirely.
+    Memoised per (scale, seed) so that a process touching the dataset
+    from several experiments (``bench ablations``, the test suite) only
+    pays the build cost once, and read through the on-disk
+    content-addressed cache (set ``REPRO_CACHE_DIR``) so repeat
+    ``python -m repro bench`` runs skip the build entirely.
+
+    The build skips near-duplicate removal (``near_dedup=False``), so
+    every table and ablation reads a slightly larger dataset than the
+    one ``python -m repro build`` writes for the same (scale, seed).
     """
     config = CorpusConfig(seed=seed)
     if scale != 1.0:
         config = config.scaled(scale)
     return build_dataset_cached(config, near_dedup=False)
-
-
-@dataclass(frozen=True)
-class PaperComparison:
-    """One metric compared against the paper's published value."""
-
-    name: str
-    paper: float
-    measured: float
-
-    @property
-    def delta(self) -> float:
-        return self.measured - self.paper
 
 
 def format_table(headers: list[str], rows: list[list]) -> str:
@@ -64,7 +55,3 @@ def format_table(headers: list[str], rows: list[list]) -> str:
     out.extend(line(r) for r in cells)
     return "\n".join(out)
 
-
-def format_comparisons(comparisons: list[PaperComparison]) -> str:
-    rows = [[c.name, c.paper, c.measured, f"{c.delta:+.1f}"] for c in comparisons]
-    return format_table(["metric", "paper", "measured", "delta"], rows)

@@ -57,10 +57,6 @@ def render(figure: EvolutionFigure) -> str:
     return f"{matrix}\n{summary}"
 
 
-def main() -> None:
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
     print("Risk-evolution analysis (dataset capability, extension)")
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    print(render(run(scale, seed)))

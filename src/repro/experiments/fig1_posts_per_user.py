@@ -69,11 +69,7 @@ def render(data: Fig1Data) -> str:
     return f"{table}\n{summary}"
 
 
-def main() -> None:
-    data = run()
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
+    data = run(scale, seed)
     print("Figure 1: Distribution of Posts per User")
     print(render(data))
-
-
-if __name__ == "__main__":
-    main()

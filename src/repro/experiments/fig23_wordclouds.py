@@ -72,9 +72,5 @@ def render(clouds: dict[RiskLevel, WordCloud], k: int = 12) -> str:
     return "\n\n".join(blocks)
 
 
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
+    print(render(run(scale, seed)))

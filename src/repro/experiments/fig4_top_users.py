@@ -65,10 +65,6 @@ def render(profiles: list[UserRiskProfile]) -> str:
     )
 
 
-def main() -> None:
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
     print("Figure 4: Risk Level Distribution for Most Active Users (Top 20)")
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    print(render(run(scale, seed)))

@@ -42,8 +42,8 @@ def run(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> KappaResult:
     )
 
 
-def main() -> None:
-    result = run()
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
+    result = run(scale, seed)
     print("Annotation consistency (paper §II-C1)")
     print(f"  Fleiss' kappa : {result.kappa:.4f}  (paper: {PAPER_KAPPA})")
     print(f"  joint samples : {result.joint_samples}  "
@@ -52,7 +52,3 @@ def main() -> None:
     print(f"  label noise   : {result.label_noise:.3f}")
     print(f"  inspections   : "
           f"{'all passed' if result.all_inspections_passed else 'FAILED'}")
-
-
-if __name__ == "__main__":
-    main()

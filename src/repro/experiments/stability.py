@@ -41,12 +41,8 @@ def render(result: MultiRunResult) -> str:
     return f"{result.model} over {len(result.reports)} runs\n{table}"
 
 
-def main() -> None:
-    result = run()
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
+    result = run(scale, seed)
     print("Stability across repeated runs (paper §III-B)")
     print(render(result))
     print("stable (std < 10pp):", result.stable)
-
-
-if __name__ == "__main__":
-    main()

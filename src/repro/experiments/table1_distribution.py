@@ -64,12 +64,8 @@ def max_percentage_deviation(rows: list[Table1Row]) -> float:
     return max(abs(r.percentage - r.paper_percentage) for r in rows)
 
 
-def main() -> None:
-    rows = run()
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
+    rows = run(scale, seed)
     print("Table I: Data Distribution (synthetic rebuild vs paper)")
     print(render(rows))
     print(f"max deviation: {max_percentage_deviation(rows):.2f} pp")
-
-
-if __name__ == "__main__":
-    main()

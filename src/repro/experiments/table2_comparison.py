@@ -120,13 +120,9 @@ def render(rows: list[DatasetEntry]) -> str:
     )
 
 
-def main() -> None:
-    rows = run()
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
+    rows = run(scale, seed)
     print("Table II: Dataset Comparison")
     print(render(rows))
     checks = advantage_checks(rows[-1])
     print("ours advantages:", checks)
-
-
-if __name__ == "__main__":
-    main()

@@ -125,12 +125,8 @@ def render(result: Table3Result) -> str:
     )
 
 
-def main() -> None:
-    result = run()
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
+    result = run(scale, seed)
     print("Table III: baseline comparison (measured vs paper)")
     print(render(result))
     print("PLMs beat non-PLM baselines:", result.plm_beats_others)
-
-
-if __name__ == "__main__":
-    main()

@@ -140,13 +140,9 @@ def render(result: Table4Result) -> str:
     )
 
 
-def main() -> None:
-    result = run()
+def main(scale: float = BENCH_SCALE, seed: int = DEFAULT_SEED) -> None:
+    result = run(scale, seed)
     print("Table IV: dataset scale vs model scale (DeBERTa)")
     print(render(result))
     print("large data + base model wins accuracy:",
           result.large_data_wins_accuracy)
-
-
-if __name__ == "__main__":
-    main()

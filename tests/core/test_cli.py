@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.rng import DEFAULT_SEED
+from repro.experiments.common import BENCH_SCALE
 
 
 class TestParser:
@@ -18,6 +20,12 @@ class TestParser:
     def test_bench_choices(self):
         args = build_parser().parse_args(["bench", "table1"])
         assert args.experiment == "table1"
+        assert args.scale == BENCH_SCALE
+        assert args.seed is None
+        args = build_parser().parse_args(
+            ["bench", "stability", "--scale", "0.05", "--seed", "3"]
+        )
+        assert (args.experiment, args.scale, args.seed) == ("stability", 0.05, 3)
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "table1", "--profile"])
 
@@ -71,7 +79,10 @@ class TestCommands:
         assert main(["build", "--scale", "0.02", "--output", str(out)]) == 0
         assert "perf profile" in capsys.readouterr().out
 
-        def fake_main():
+        calls = []
+
+        def fake_main(scale, seed):
+            calls.append((scale, seed))
             with perf.span("fake-experiment"):
                 pass
 
@@ -80,6 +91,7 @@ class TestCommands:
         printed = capsys.readouterr().out
         assert printed.count("perf profile") == 1
         assert "fake-experiment" in printed
+        assert calls == [(BENCH_SCALE, DEFAULT_SEED)]
 
     def test_perf_report_printed_on_error_path(self, capsys, monkeypatch):
         """A failing command must still print the REPRO_PERF report —
@@ -89,7 +101,7 @@ class TestCommands:
 
         monkeypatch.setenv("REPRO_PERF", "1")
 
-        def exploding_main():
+        def exploding_main(scale, seed):
             with perf.span("doomed-experiment"):
                 pass
             raise RuntimeError("mid-command failure")
@@ -100,6 +112,41 @@ class TestCommands:
         printed = capsys.readouterr().out
         assert printed.count("perf profile") == 1
         assert "doomed-experiment" in printed
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["build", "--scale", "2"], "2.0"),
+        (["bench", "table1", "--scale", "0"], "0.0"),
+    ])
+    def test_bad_scale_is_a_usage_error(self, argv, shown, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_PERF", "1")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: error: scale must be in (0, 1], got {shown}\n"
+        assert captured.out.count("perf profile") == 1
+
+
+class TestBench:
+    def test_kappa(self, capsys):
+        assert main(["bench", "kappa", "--scale", "0.05"]) == 0
+        printed = capsys.readouterr().out
+        assert "Annotation consistency (paper §II-C1)" in printed
+        assert "  Fleiss' kappa : 0." in printed
+        assert "(paper: 0.7206)" in printed
+        assert "inspections   : all passed" in printed
+
+    def test_evolution_at_seed(self, capsys):
+        from repro.experiments import evolution_analysis
+
+        assert main([
+            "bench", "evolution", "--scale", "0.05", "--seed", "15000",
+        ]) == 0
+        printed = capsys.readouterr().out
+        matrix = evolution_analysis.render(evolution_analysis.run(0.05, 15000))
+        assert printed == (
+            "Risk-evolution analysis (dataset capability, extension)\n"
+            f"{matrix}\n"
+        )
+        assert "from \\ to" in matrix
 
 
 class TestTelemetryCommands:

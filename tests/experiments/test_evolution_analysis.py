@@ -27,6 +27,8 @@ class TestEvolutionExperiment:
 
     def test_prevalence_in_unit_interval(self, figure):
         assert 0.0 <= figure.report.escalation_prevalence <= 1.0
+        # A substantial share of users escalate at least once.
+        assert figure.report.escalation_prevalence > 0.2
 
     def test_render_contains_matrix_and_summary(self, figure):
         out = evolution_analysis.render(figure)

@@ -1,12 +1,18 @@
 """Tiny-scale smoke tests of the heavy experiment modules.
 
 Table III/IV and the ablations are exercised with reduced model budgets so
-the unit suite stays fast; the benchmark harness runs them at full budget.
+the unit suite stays fast; ``python -m repro bench <experiment>`` runs them
+at full budget and prints their verdict lines.
 """
 
 import pytest
 
-from repro.experiments import stability, table3_baselines, table4_scale
+from repro.experiments import (
+    ablations,
+    stability,
+    table3_baselines,
+    table4_scale,
+)
 from repro.experiments.common import cached_build
 
 SCALE = 0.05
@@ -69,6 +75,30 @@ class TestStabilityModule:
         result = stability.run(SCALE, model="xgboost", seeds=(0, 1))
         assert len(result.reports) == 2
         assert "accuracy" in stability.render(result)
+
+
+class TestAblations:
+    def test_feature_dimension_rows(self):
+        # all features + the three single dimensions
+        assert len(ablations.feature_dimension_ablation(SCALE)) == 4
+
+    def test_window_size_rows(self):
+        assert len(ablations.window_size_ablation(SCALE)) == 3
+
+    def test_voting_cleaner_than_solo(self):
+        stats = ablations.voting_ablation(SCALE)
+        assert stats["voted_noise"] <= stats["solo_noise"]
+
+    def test_pretraining_arms(self, monkeypatch):
+        # The job list alone: training two RoBERTas is bench-sized work.
+        monkeypatch.setattr(
+            ablations, "run_jobs", lambda jobs: [model for model, _ in jobs]
+        )
+        arms = ablations.pretraining_ablation(SCALE)
+        assert [m.name for m in arms] == ["RoBERTa[MLM]", "RoBERTa[no-MLM]"]
+        assert [m.pretrain_steps for m in arms] == [
+            table3_baselines.PLM_PRETRAIN_STEPS, 0,
+        ]
 
 
 class TestParallelAblation:
