@@ -11,8 +11,6 @@ bench       Run one paper experiment (table1..table4, fig1, fig23, fig4,
 metrics     Exercise the serving stack, then export telemetry as
             Prometheus exposition text or a JSON snapshot (or render a
             previously saved snapshot with --input).
-trace       Exercise the serving stack, then print recent per-request
-            traces from the engine's ring buffer.
 lint        Run the repo's AST static-analysis rules (REPRO-LOCK,
             REPRO-RNG, REPRO-TWIN, REPRO-CLOCK, REPRO-METRIC,
             REPRO-EXCEPT) over src/ or the given paths.
@@ -117,13 +115,10 @@ def cmd_bench(args) -> int:
 
 
 def _serve_exercise(args):
-    """Train a model and push traffic through a traced engine.
-
-    Shared by ``metrics`` and ``trace``: both need a populated registry
-    (serve counters, gauges, span + latency histograms) and a tracer
-    ring, which only exist after real requests have flowed. Returns the
-    closed engine (its tracer and stats stay readable).
-    """
+    """Train a model and push ``--requests`` async requests through an
+    engine, so the registry holds real serve counters, gauges, span and
+    latency histograms. Returns the closed engine (its stats stay
+    readable)."""
     from repro.models import create_model
     from repro.serve import EngineConfig, InferenceEngine
 
@@ -133,34 +128,14 @@ def _serve_exercise(args):
     model.fit(splits.train, splits.validation)
     traffic = [splits.test[i % len(splits.test)]
                for i in range(args.requests)]
-    engine = InferenceEngine(model, EngineConfig(
-        max_batch_size=args.batch_size,
-        trace_ring_size=max(256, args.requests),
-        slow_threshold_s=args.slow_ms / 1e3,
-        slow_log_path=args.slow_log,
-    ))
+    engine = InferenceEngine(
+        model, EngineConfig(max_batch_size=args.batch_size)
+    )
     with engine:
         futures = [engine.submit(w) for w in traffic]
         for future in futures:
             future.result(timeout=60.0)
     return engine
-
-
-def _add_serve_exercise_args(parser) -> None:
-    _add_scale(parser)
-    parser.set_defaults(scale=0.05)
-    parser.add_argument(
-        "--model", default="logreg",
-        choices=["xgboost", "bilstm", "higru", "roberta", "deberta", "logreg"],
-    )
-    parser.add_argument("--requests", type=int, default=96,
-                        help="traced requests pushed through the engine")
-    parser.add_argument("--batch-size", type=int, default=16,
-                        help="engine max_batch_size")
-    parser.add_argument("--slow-ms", type=float, default=1000.0,
-                        help="slow-request threshold in milliseconds")
-    parser.add_argument("--slow-log", default=None,
-                        help="JSONL file receiving slow-request traces")
 
 
 def cmd_metrics(args) -> int:
@@ -176,8 +151,7 @@ def cmd_metrics(args) -> int:
     else:
         engine = _serve_exercise(args)
         snap = json_snapshot(
-            perf.get_registry(), tracer=engine.tracer,
-            extra={"engine_stats": engine.stats()},
+            perf.get_registry(), extra={"engine_stats": engine.stats()}
         )
         perf_snapshot = snap["perf"]
 
@@ -200,28 +174,6 @@ def cmd_lint(args) -> int:
     from repro.analysis.cli import run_from_args
 
     return run_from_args(args)
-
-
-def cmd_trace(args) -> int:
-    import json as _json
-
-    engine = _serve_exercise(args)
-    traces = engine.recent_traces(limit=args.limit)
-    if args.format == "json":
-        print(_json.dumps(traces, indent=2))
-        return 0
-    stats = engine.stats()["traces"]
-    print(f"traces: {stats['finished']} finished, {stats['slow']} slow, "
-          f"showing {len(traces)} most recent")
-    for trace in traces:
-        events = " ".join(
-            f"{e['name']}@{e['t_ms']:.2f}" for e in trace["events"]
-        )
-        print(f"  {trace['trace_id']}  total {trace['total_ms']:8.2f}ms  "
-              f"queue {trace['queue_wait_ms']:7.2f}ms  "
-              f"batch={trace['metadata'].get('batch_size', '?')}")
-        print(f"    {events}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="exercise the serving stack and export telemetry "
              "(Prometheus text or JSON snapshot)",
     )
-    _add_serve_exercise_args(p_metrics)
+    _add_scale(p_metrics)
+    p_metrics.add_argument(
+        "--model", default="logreg",
+        choices=["xgboost", "bilstm", "higru", "roberta", "deberta", "logreg"],
+    )
+    p_metrics.add_argument("--requests", type=int, default=96,
+                           help="async requests pushed through the engine")
+    p_metrics.add_argument("--batch-size", type=int, default=16,
+                           help="engine max_batch_size")
     p_metrics.add_argument("--format", default="prometheus",
                            choices=["prometheus", "json"])
     p_metrics.add_argument("--output", default=None,
@@ -274,18 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a previously saved JSON snapshot instead of "
              "running the serve exercise",
     )
-    p_metrics.set_defaults(func=cmd_metrics)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="exercise the serving stack and print recent request traces",
-    )
-    _add_serve_exercise_args(p_trace)
-    p_trace.add_argument("--limit", type=int, default=10,
-                         help="how many recent traces to show")
-    p_trace.add_argument("--format", default="table",
-                         choices=["table", "json"])
-    p_trace.set_defaults(func=cmd_trace)
+    p_metrics.set_defaults(func=cmd_metrics, scale=0.05)
 
     from repro.analysis.cli import add_lint_arguments
 

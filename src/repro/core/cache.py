@@ -69,17 +69,15 @@ def _jsonable_key(key) -> str:
 def fingerprint(
     corpus_config: CorpusConfig,
     annotation_config: AnnotationConfig,
-    anonymise: bool,
     near_dedup: bool,
 ) -> str:
     """Content address of one build: sha256 over the canonical config JSON
     (every corpus/annotation field, including scale and seed) plus the
-    pipeline flags and the cache schema version."""
+    near-dedup flag and the cache schema version."""
     payload = {
         "schema": SCHEMA_VERSION,
         "corpus": _jsonable(dataclasses.asdict(corpus_config)),
         "annotation": _jsonable(dataclasses.asdict(annotation_config)),
-        "anonymise": bool(anonymise),
         "near_dedup": bool(near_dedup),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -171,7 +169,6 @@ class BuildCache:
 def build_dataset_cached(
     corpus_config: CorpusConfig | None = None,
     annotation_config: AnnotationConfig | None = None,
-    anonymise: bool = True,
     near_dedup: bool = True,
     cache: BuildCache | None = None,
 ) -> BuildResult:
@@ -186,19 +183,15 @@ def build_dataset_cached(
     )
     cache = cache if cache is not None else BuildCache.from_env()
     if cache is None:
-        return build_dataset(
-            corpus_config, annotation_config, anonymise, near_dedup
-        )
-    key = fingerprint(corpus_config, annotation_config, anonymise, near_dedup)
+        return build_dataset(corpus_config, annotation_config, near_dedup)
+    key = fingerprint(corpus_config, annotation_config, near_dedup)
     with perf.span("cache.load"):
         cached = cache.load(key)
     if cached is not None:
         perf.count("cache.hits")
         return cached
     perf.count("cache.misses")
-    result = build_dataset(
-        corpus_config, annotation_config, anonymise, near_dedup
-    )
+    result = build_dataset(corpus_config, annotation_config, near_dedup)
     with perf.span("cache.store"):
         cache.store(key, result)
     return result

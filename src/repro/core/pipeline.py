@@ -58,7 +58,6 @@ class BuildResult:
 def build_dataset(
     corpus_config: CorpusConfig | None = None,
     annotation_config: AnnotationConfig | None = None,
-    anonymise: bool = True,
     near_dedup: bool = True,
 ) -> BuildResult:
     """Run the full §II pipeline and return the released dataset.
@@ -70,9 +69,6 @@ def build_dataset(
         use ``CorpusConfig().scaled(f)`` for smaller builds).
     annotation_config:
         Campaign parameters (defaults reproduce κ ≈ 0.72).
-    anonymise:
-        Apply the §IV anonymisation (hash identifiers, scrub PII) and
-        audit it before releasing.
     near_dedup:
         Run MinHash near-duplicate removal (slower; exact dedup always on).
     """
@@ -104,16 +100,15 @@ def build_dataset(
         labelled_posts = [p for p in pre.posts if p.post_id in campaign.labels]
         labels = dict(campaign.labels)
 
-        if anonymise:
-            with perf.span("anonymise"):
-                anonymizer = Anonymizer(salt=f"rsd15k-{corpus_config.seed}")
-                anonymised = anonymizer.anonymise(labelled_posts)
-                audit_anonymisation(labelled_posts, anonymised)
-                labels = {
-                    anonymizer.pseudonym(post_id, "p"): label
-                    for post_id, label in labels.items()
-                }
-                labelled_posts = anonymised
+        with perf.span("anonymise"):
+            anonymizer = Anonymizer(salt=f"rsd15k-{corpus_config.seed}")
+            anonymised = anonymizer.anonymise(labelled_posts)
+            audit_anonymisation(labelled_posts, anonymised)
+            labels = {
+                anonymizer.pseudonym(post_id, "p"): label
+                for post_id, label in labels.items()
+            }
+            labelled_posts = anonymised
 
         with perf.span("dataset"):
             background = [p.text for p in corpus.background_posts]

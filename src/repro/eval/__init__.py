@@ -6,7 +6,6 @@ from repro.eval.metrics import (
     confusion_matrix,
     macro_f1,
     per_class_f1,
-    precision_recall,
 )
 from repro.eval.reporting import to_csv, to_json, to_markdown
 from repro.eval.runner import (
@@ -32,7 +31,6 @@ __all__ = [
     "confusion_matrix",
     "macro_f1",
     "per_class_f1",
-    "precision_recall",
     "WindowSplits",
     "split_users",
     "split_windows",

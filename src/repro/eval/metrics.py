@@ -50,17 +50,6 @@ def macro_f1(
     return float(per_class_f1(y_true, y_pred, num_classes).mean())
 
 
-def precision_recall(
-    y_true: np.ndarray, y_pred: np.ndarray, num_classes: int = NUM_CLASSES
-) -> tuple[np.ndarray, np.ndarray]:
-    matrix = confusion_matrix(y_true, y_pred, num_classes)
-    tp = np.diag(matrix).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(matrix.sum(axis=0) > 0, tp / matrix.sum(axis=0), 0.0)
-        recall = np.where(matrix.sum(axis=1) > 0, tp / matrix.sum(axis=1), 0.0)
-    return precision, recall
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Full evaluation of one model on one split (a Table III row)."""

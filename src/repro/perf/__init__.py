@@ -1,4 +1,4 @@
-"""Telemetry subsystem: spans, counters, gauges, histograms, tracing, export.
+"""Telemetry subsystem: spans, counters, gauges, histograms, export.
 
 A process-wide :class:`PerfRegistry` records named timing *spans* (via a
 context manager), monotonic *counters*, last-write-wins *gauges* and
@@ -13,11 +13,11 @@ the pipeline::
     build/preprocess/near-dup  1   1.10s
 
 Every span path also accumulates a fixed-log-bucket latency histogram
-(p50/p90/p99/max per path — :mod:`repro.perf.histogram`); the serving
-engine additionally traces each request's lifecycle end to end
-(:mod:`repro.perf.tracing`), and everything exports as Prometheus
-exposition text or a JSON snapshot (:mod:`repro.perf.export`,
-``python -m repro metrics`` / ``python -m repro trace``).
+(p50/p90/p99/max per path — :mod:`repro.perf.histogram`); explicit
+observations (such as the serving engine's per-request latency) get the
+same histograms, and everything exports as Prometheus exposition text
+or a JSON snapshot (:mod:`repro.perf.export`, ``python -m repro
+metrics``).
 
 The registry is always on — a span costs two ``perf_counter`` calls and
 a few dict/array updates on a lock-free per-thread shard — so library
@@ -31,28 +31,22 @@ from __future__ import annotations
 
 from repro.perf.export import (
     json_snapshot,
-    merge_snapshots,
     render_prometheus,
     validate_prometheus,
 )
 from repro.perf.histogram import Histogram
 from repro.perf.registry import PERF_ENV, PerfRegistry, PerfStat, enabled
-from repro.perf.tracing import LIFECYCLE_EVENTS, Trace, Tracer
 
 __all__ = [
     "Histogram",
-    "LIFECYCLE_EVENTS",
     "PERF_ENV",
     "PerfRegistry",
     "PerfStat",
-    "Trace",
-    "Tracer",
     "count",
     "enabled",
     "gauge",
     "get_registry",
     "json_snapshot",
-    "merge_snapshots",
     "observe",
     "render",
     "render_prometheus",

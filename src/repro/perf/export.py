@@ -31,7 +31,6 @@ import re
 
 __all__ = [
     "json_snapshot",
-    "merge_snapshots",
     "render_prometheus",
     "validate_prometheus",
 ]
@@ -122,159 +121,19 @@ def render_prometheus(snapshot: dict) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def json_snapshot(registry, tracer=None, extra: dict | None = None) -> dict:
+def json_snapshot(registry, extra: dict | None = None) -> dict:
     """One JSON-serialisable object with everything a scraper would see.
 
     ``perf`` holds the registry snapshot (spans/counters/observations/
-    gauges); ``traces`` the tracer's ring stats and recent traces when a
-    tracer is supplied. ``extra`` entries ride along at the top level
-    (reserved keys rejected).
+    gauges); ``extra`` entries ride along at the top level (the
+    reserved ``perf`` key is rejected).
     """
-    if extra:
-        reserved = {"perf", "traces"} & set(extra)
-        if reserved:
-            raise ValueError(
-                f"json_snapshot: reserved keys in extra: {sorted(reserved)}"
-            )
+    if extra and "perf" in extra:
+        raise ValueError("json_snapshot: reserved key in extra: 'perf'")
     out: dict = {"perf": registry.snapshot()}
-    if tracer is not None:
-        out["traces"] = {
-            "stats": tracer.stats(),
-            "recent": tracer.recent(limit=32),
-        }
     if extra:
         out.update(extra)
     return out
-
-
-def _quantiles_from_buckets(
-    buckets: list, count: int, min_s: float, max_s: float
-) -> dict[str, float]:
-    """Re-estimate p50/p90/p99 from merged cumulative buckets.
-
-    Same linear-interpolation-in-the-crossing-bucket scheme as
-    :meth:`repro.perf.histogram.Histogram.quantile`, but over the
-    coarsened export buckets (5/decade → bounds ~58% apart, worst-case
-    relative error ~29%; exact count/sum/min/max are unaffected).
-    Estimates are clamped to the exactly-tracked [min, max].
-    """
-    out: dict[str, float] = {}
-    for q, key in ((0.50, "p50_s"), (0.90, "p90_s"), (0.99, "p99_s")):
-        rank = q * count
-        prev_bound = 0.0
-        prev_cum = 0
-        value = max_s
-        for bound, cum in buckets:
-            if cum >= rank and cum > prev_cum:
-                hi = max_s if bound == math.inf else bound
-                frac = (rank - prev_cum) / (cum - prev_cum)
-                value = prev_bound + (hi - prev_bound) * frac
-                break
-            if bound != math.inf:
-                prev_bound = bound
-            prev_cum = cum
-        out[key] = min(max(value, min_s), max_s)
-    return out
-
-
-def _merge_hist_entry(into: dict, entry: dict, path: str) -> None:
-    """Accumulate one span/observation entry's hist+buckets into ``into``."""
-    hist = entry.get("hist")
-    if hist:
-        agg = into.setdefault(
-            "hist",
-            {"count": 0, "sum_s": 0.0, "min_s": math.inf, "max_s": -math.inf},
-        )
-        agg["count"] += hist["count"]
-        agg["sum_s"] += hist["sum_s"]
-        agg["min_s"] = min(agg["min_s"], hist.get("min_s", math.inf))
-        agg["max_s"] = max(agg["max_s"], hist.get("max_s", -math.inf))
-    buckets = entry.get("buckets")
-    if buckets:
-        merged = into.get("buckets")
-        if merged is None:
-            into["buckets"] = [[b, c] for b, c in buckets]
-        else:
-            if len(merged) != len(buckets) or any(
-                m[0] != b for m, (b, _) in zip(merged, buckets)
-            ):
-                raise ValueError(
-                    f"merge_snapshots: bucket layouts differ for {path!r} — "
-                    f"snapshots come from different histogram versions"
-                )
-            # Cumulative counts are sums of per-bucket counts, so they
-            # merge element-wise just like the raw buckets would.
-            for m, (_, c) in zip(merged, buckets):
-                m[1] += c
-
-
-def _finalize_hist(into: dict) -> None:
-    hist = into.get("hist")
-    if not hist:
-        return
-    count = hist["count"]
-    hist["mean_s"] = hist["sum_s"] / count if count else 0.0
-    if count and into.get("buckets"):
-        hist.update(
-            _quantiles_from_buckets(
-                into["buckets"], count, hist["min_s"], hist["max_s"]
-            )
-        )
-
-
-def merge_snapshots(
-    snapshots: list[dict], gauge_prefixes: list[str | None] | None = None
-) -> dict:
-    """Merge registry snapshots from several processes into one.
-
-    The output has the same shape as
-    :meth:`repro.perf.registry.PerfRegistry.snapshot` — it renders and
-    validates as Prometheus text unchanged. Counters, span totals/calls
-    and histogram count/sum/min/max merge exactly; cumulative buckets
-    add element-wise (identical fixed bounds across processes), and
-    p50/p90/p99 are re-estimated from the merged buckets.
-
-    Gauges are last-write-wins values and summing them would be wrong
-    (two workers each holding ``queue_depth=3`` is not depth 6), so by
-    default later snapshots simply overwrite earlier ones. Pass
-    ``gauge_prefixes`` — one per snapshot, ``None`` to leave names
-    untouched — to namespace instead: the worker pool uses
-    ``pool.worker0``, ``pool.worker1``, … so per-worker gauges survive
-    side by side.
-    """
-    snapshots = list(snapshots)
-    if gauge_prefixes is not None and len(gauge_prefixes) != len(snapshots):
-        raise ValueError(
-            f"merge_snapshots: {len(gauge_prefixes)} gauge prefixes for "
-            f"{len(snapshots)} snapshots"
-        )
-    spans: dict[str, dict] = {}
-    counters: dict[str, int] = {}
-    observations: dict[str, dict] = {}
-    gauges: dict[str, float] = {}
-    for i, snap in enumerate(snapshots):
-        for path, value in snap.get("counters", {}).items():
-            counters[path] = counters.get(path, 0) + value
-        for path, entry in snap.get("spans", {}).items():
-            into = spans.setdefault(path, {"total_s": 0.0, "calls": 0})
-            into["total_s"] += entry["total_s"]
-            into["calls"] += entry["calls"]
-            _merge_hist_entry(into, entry, path)
-        for path, entry in snap.get("observations", {}).items():
-            _merge_hist_entry(observations.setdefault(path, {}), entry, path)
-        prefix = gauge_prefixes[i] if gauge_prefixes else None
-        for name, value in snap.get("gauges", {}).items():
-            gauges[f"{prefix}.{name}" if prefix else name] = value
-    for into in spans.values():
-        _finalize_hist(into)
-    for into in observations.values():
-        _finalize_hist(into)
-    return {
-        "spans": spans,
-        "counters": counters,
-        "observations": observations,
-        "gauges": gauges,
-    }
 
 
 def _parse_value(raw: str, lineno: int) -> float:

@@ -21,12 +21,10 @@ overhead — python dispatch, feature/tokenization setup, tiny gemms. The
 
 All scoring runs under :func:`repro.nn.no_grad`, and every stage is
 instrumented through ``repro.perf``: ``serve.*`` spans/counters, gauges
-(queue depth, in-flight batches, tokenization-cache size/hits/misses),
-per-request latency/queue-wait histograms, and — on every async
-request — a full lifecycle *trace* (enqueue → batch_assembly →
-tokenize → forward → scatter → complete) kept in a bounded ring buffer,
-with requests over ``slow_threshold_s`` appended to a JSONL slow log.
-See ``docs/observability.md``.
+(queue depth, in-flight batches, tokenization-cache size/hits/misses)
+and one latency and one queue-wait observation per async request. Each
+async request's :class:`RequestTiming` rides on its future as
+``future.trace``. See ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -44,10 +42,9 @@ from repro.core.errors import ModelError
 from repro.core.lru import LRUCache
 from repro.models.base import RiskModel
 from repro.nn import no_grad
-from repro.perf.tracing import Trace, Tracer
 from repro.temporal.windows import PostWindow
 
-__all__ = ["EngineConfig", "InferenceEngine"]
+__all__ = ["EngineConfig", "InferenceEngine", "RequestTiming"]
 
 _SHUTDOWN = object()
 
@@ -61,33 +58,35 @@ class EngineConfig:
     max_wait_s:
         How long the micro-batcher waits for stragglers after the first
         queued request before dispatching a partial batch.
-    trace_ring_size:
-        How many finished traces the in-memory ring retains. Every
-        async request is traced (six timestamped events) and feeds the
-        per-request latency/queue-wait histograms.
-    slow_threshold_s:
-        Requests at/over this end-to-end latency are counted as slow
-        and appended to ``slow_log_path``.
-    slow_log_path:
-        JSONL file receiving slow-request traces; ``None`` disables the
-        file (slow requests are still counted and ring-buffered).
     """
 
     max_batch_size: int = 32
     max_wait_s: float = 0.005
-    trace_ring_size: int = 256
-    slow_threshold_s: float = 1.0
-    slow_log_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_wait_s < 0:
             raise ValueError("max_wait_s must be >= 0")
-        if self.trace_ring_size < 1:
-            raise ValueError("trace_ring_size must be >= 1")
-        if self.slow_threshold_s < 0:
-            raise ValueError("slow_threshold_s must be >= 0")
+
+
+class RequestTiming:
+    """``perf_counter`` stamps of one async request: when it was queued,
+    when the micro-batcher dispatched its batch, when it completed.
+    A phase not reached yet reads as zero seconds."""
+
+    __slots__ = ("enqueued", "dispatched", "completed")
+
+    def __init__(self) -> None:
+        self.enqueued = self.dispatched = self.completed = time.perf_counter()
+
+    @property
+    def queue_wait_s(self) -> float:
+        return self.dispatched - self.enqueued
+
+    @property
+    def total_s(self) -> float:
+        return self.completed - self.enqueued
 
 
 class InferenceEngine:
@@ -114,11 +113,6 @@ class InferenceEngine:
             raise ModelError("InferenceEngine requires a fitted model")
         self.model = model
         self.config = config or EngineConfig()
-        self.tracer = Tracer(
-            ring_size=self.config.trace_ring_size,
-            slow_threshold_s=self.config.slow_threshold_s,
-            slow_log_path=self.config.slow_log_path,
-        )
         self._queue: queue.Queue = queue.Queue()
         self._batch_queue: queue.Queue = queue.Queue()
         self._closed = False
@@ -170,15 +164,17 @@ class InferenceEngine:
     def submit(self, window: PostWindow) -> Future:
         """Queue one window; resolves to its (C,) probability vector.
 
-        The request's trace is exposed as ``future.trace`` so callers
-        can correlate results with their lifecycle timings.
+        The request's :class:`RequestTiming` is exposed as
+        ``future.trace``. The open check and the enqueue happen under
+        the engine lock, so a request cannot land on the queue after
+        ``close()`` has drained it.
         """
-        self._ensure_open()
         future: Future = Future()
-        trace = self.tracer.start()
-        trace.event("enqueue")
-        future.trace = trace  # type: ignore[attr-defined]
-        self._queue.put((window, future, trace))
+        timing = RequestTiming()
+        future.trace = timing  # type: ignore[attr-defined]
+        with self._lock:
+            self._ensure_open()
+            self._queue.put((window, future, timing))
         perf.count("serve.requests")
         perf.gauge("serve.queue_depth", self._queue.qsize())
         return future
@@ -216,7 +212,9 @@ class InferenceEngine:
 
     def _dispatch(self, batch: list) -> None:
         """Hand an assembled batch to the worker."""
-        self._stamp(batch, "batch_assembly")
+        now = time.perf_counter()
+        for _, _, timing in batch:
+            timing.dispatched = now
         with self._lock:
             self._in_flight += 1
             in_flight = self._in_flight
@@ -231,60 +229,41 @@ class InferenceEngine:
                 return
             self._run_batch(batch)
 
-    def _stamp(self, batch: list, name: str) -> None:
-        now = time.perf_counter()
-        for _, _, trace in batch:
-            trace.event(name, now)
-
     def _run_batch(
-        self, batch: list[tuple[PostWindow, Future, Trace]]
+        self, batch: list[tuple[PostWindow, Future, RequestTiming]]
     ) -> None:
         windows = [window for window, _, _ in batch]
+        error = None
         try:
             with perf.span("serve.batch"):
                 with no_grad():
-                    self._stamp(batch, "tokenize")
-                    self._warm_tokenization(windows)
-                    self._stamp(batch, "forward")
                     probs = self.model.predict_proba(windows)
-            self._stamp(batch, "scatter")
             self._record_batch(len(batch))
-            for (_, future, _), row in zip(batch, probs):
-                future.set_result(row)
-            self._finish_traces(batch, len(batch))
         except Exception as exc:  # propagate to every waiter
-            for _, future, _ in batch:
-                if not future.done():
-                    future.set_exception(exc)
-            self._stamp(batch, "error")
-            self._finish_traces(batch, len(batch))
+            error = exc
+        try:
+            self._finish_requests(batch)
+            for i, (_, future, _) in enumerate(batch):
+                if future.done():
+                    continue  # cancelled by its caller
+                if error is None:
+                    future.set_result(probs[i])
+                else:
+                    future.set_exception(error)
         finally:
             with self._lock:
                 self._in_flight -= 1
                 in_flight = self._in_flight
             perf.gauge("serve.in_flight_batches", in_flight)
 
-    def _warm_tokenization(self, windows: list[PostWindow]) -> None:
-        """Pre-encode through the pipeline's memoised per-post encoder.
-
-        Separates the tokenize phase from the forward pass for tracing:
-        the inner ``predict_proba`` re-encode then hits the LRU, so the
-        work is done once either way. Feature models without a pipeline
-        encoder skip this (their tokenize→forward gap reads ~0).
-        """
-        pipeline = getattr(self.model, "pipeline", None)
-        encode = getattr(pipeline, "encode", None)
-        if encode is not None:
-            encode(windows)
-
-    def _finish_traces(self, batch: list, batch_size: int) -> None:
-        for _, _, trace in batch:
-            trace.event("complete")
-            trace.metadata["batch_size"] = batch_size
-            self.tracer.finish(trace)
-            perf.observe("serve.request.latency_seconds", trace.total_s)
+    @staticmethod
+    def _finish_requests(batch: list) -> None:
+        now = time.perf_counter()
+        for _, _, timing in batch:
+            timing.completed = now
+            perf.observe("serve.request.latency_seconds", timing.total_s)
             perf.observe(
-                "serve.request.queue_wait_seconds", trace.queue_wait_s
+                "serve.request.queue_wait_seconds", timing.queue_wait_s
             )
 
     def _record_batch(self, size: int) -> None:
@@ -307,7 +286,7 @@ class InferenceEngine:
             raise RuntimeError("InferenceEngine is closed")
 
     def stats(self) -> dict:
-        """Batching, cache, and tracing counters for monitoring."""
+        """Batching and cache counters for monitoring."""
         cache = self.tokenization_cache
         with self._lock:
             batches = self._batches
@@ -320,12 +299,7 @@ class InferenceEngine:
             "queue_depth": self._queue.qsize(),
             "in_flight_batches": in_flight,
             "tokenization_cache": None if cache is None else cache.stats(),
-            "traces": self.tracer.stats(),
         }
-
-    def recent_traces(self, limit: int | None = None) -> list[dict]:
-        """Finished request traces from the ring buffer, newest first."""
-        return self.tracer.recent(limit=limit)
 
     def close(self) -> None:
         if self._closed:

@@ -26,16 +26,14 @@ queue:
   :class:`PoolSaturatedError` when the pool is at capacity so callers
   can shed load instead of queueing unboundedly;
 * **telemetry** — the parent records ``serve.pool.*`` spans, counters,
-  queue-depth gauges and end-to-end latency histograms; each worker
-  ships its full ``repro.perf`` snapshot back on shutdown, and
-  :meth:`WorkerPool.merged_telemetry` folds them into one snapshot via
-  :func:`repro.perf.export.merge_snapshots` (per-worker gauges
-  namespaced ``pool.worker<i>.*``).
+  queue-depth gauges and end-to-end latency histograms in its own
+  ``repro.perf`` registry, so they cover every request the pool
+  serves.
 
 Workers always start with ``spawn``, which is safe regardless of the
 parent's threads. Lifecycle: construct → ``predict_many``/``submit`` →
 ``close()`` (or use as a context manager). ``close()`` sends stop
-sentinels, collects worker snapshots, then joins the processes.
+sentinels, waits for the workers to stop, then joins the processes.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from repro import perf
 from repro.core.errors import ModelError, NotFittedError
 from repro.core.schema import NUM_CLASSES
 from repro.models.base import RiskModel
-from repro.perf.export import merge_snapshots
 from repro.serve.engine import EngineConfig, InferenceEngine
 from repro.temporal.windows import PostWindow
 
@@ -162,10 +159,11 @@ def _worker_main(
         try:
             engine.close()
         except Exception:
-            # Shutdown is best-effort: the snapshot below matters more
-            # than a clean engine teardown in a dying process.
+            # Shutdown is best-effort: the "stopped" message below
+            # matters more than a clean engine teardown in a dying
+            # process.
             pass
-        result_q.put(("stopped", worker_id, perf.snapshot()))
+        result_q.put(("stopped", worker_id))
 
 
 class WorkerPool:
@@ -202,7 +200,6 @@ class WorkerPool:
         self._start_error: str | None = None
         self._requests = 0
         self._errors = 0
-        self._worker_snapshots: dict[int, dict] = {}
         self._finished_workers: set[int] = set()
         self._ready_workers: set[int] = set()
         self._ready = threading.Event()
@@ -349,8 +346,6 @@ class WorkerPool:
                 self._ready.set()  # unblock __init__ so it can raise
                 self._mark_broken(f"worker {msg[1]} failed to start")
             elif kind == "stopped":
-                with self._lock:
-                    self._worker_snapshots[msg[1]] = msg[2]
                 self._worker_finished(msg[1])
 
     def _resolve(self, req_id: int, result=None, error=None) -> None:
@@ -445,30 +440,6 @@ class WorkerPool:
             "broken": broken,
         }
 
-    @property
-    def worker_snapshots(self) -> dict[int, dict]:
-        """Per-worker ``repro.perf`` snapshots (populated at shutdown)."""
-        with self._lock:
-            return dict(self._worker_snapshots)
-
-    def merged_telemetry(self, include_parent: bool = True) -> dict:
-        """One registry-shaped snapshot across parent + all workers.
-
-        Workers ship their snapshots as they stop, so the merged view
-        is complete only after :meth:`close`. Counters and latency
-        histograms aggregate exactly; per-worker gauges survive under
-        ``pool.worker<i>.*`` (see
-        :func:`repro.perf.export.merge_snapshots`).
-        """
-        with self._lock:
-            items = sorted(self._worker_snapshots.items())
-        snapshots = [snap for _, snap in items]
-        prefixes: list[str | None] = [f"pool.worker{i}" for i, _ in items]
-        if include_parent:
-            snapshots.insert(0, perf.snapshot())
-            prefixes.insert(0, None)
-        return merge_snapshots(snapshots, gauge_prefixes=prefixes)
-
     def debug_kill_worker(self, index: int = 0) -> None:
         """Hard-kill one worker (SIGKILL) — crash-injection for tests."""
         self._processes[index].kill()
@@ -484,7 +455,7 @@ class WorkerPool:
             proc.join(timeout=5.0)
 
     def close(self) -> None:
-        """Stop workers, collect their snapshots, join the processes.
+        """Stop workers, wait for them to finish, join the processes.
 
         Idempotent. In-flight futures that never got a result are
         failed rather than left pending.
@@ -495,7 +466,7 @@ class WorkerPool:
             self._closed = True
             self._closing = True
         # Even a broken pool may hold healthy workers; each consumes
-        # exactly one sentinel and ships its telemetry snapshot back.
+        # exactly one sentinel and reports "stopped".
         for _ in self._processes:
             try:
                 self._request_q.put(("stop",), timeout=2.0)

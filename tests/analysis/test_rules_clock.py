@@ -91,7 +91,7 @@ def test_perf_and_serve_modules_are_allowlisted():
 
     stamp = time.time()
     """
-    assert lint(source, module="repro.perf.tracing") == []
+    assert lint(source, module="repro.perf.registry") == []
     assert lint(source, module="repro.serve.engine") == []
     # The worker pool reads wall clocks for request latency accounting;
     # pin that it stays covered by the repro.serve allowlist prefix.

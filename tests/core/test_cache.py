@@ -29,34 +29,33 @@ def annotation_config(small_config):
 
 class TestFingerprint:
     def test_deterministic(self, small_config, annotation_config):
-        a = fingerprint(small_config, annotation_config, True, NEAR_DEDUP)
-        b = fingerprint(small_config, annotation_config, True, NEAR_DEDUP)
+        a = fingerprint(small_config, annotation_config, NEAR_DEDUP)
+        b = fingerprint(small_config, annotation_config, NEAR_DEDUP)
         assert a == b
         assert len(a) == 64
 
     def test_config_changes_key(self, small_config, annotation_config):
-        base = fingerprint(small_config, annotation_config, True, NEAR_DEDUP)
+        base = fingerprint(small_config, annotation_config, NEAR_DEDUP)
         reseeded = dataclasses.replace(small_config, seed=123)
-        assert fingerprint(reseeded, annotation_config, True, NEAR_DEDUP) != base
+        assert fingerprint(reseeded, annotation_config, NEAR_DEDUP) != base
         rescaled = CorpusConfig().scaled(0.06)
-        assert fingerprint(rescaled, annotation_config, True, NEAR_DEDUP) != base
+        assert fingerprint(rescaled, annotation_config, NEAR_DEDUP) != base
 
     def test_flags_change_key(self, small_config, annotation_config):
-        base = fingerprint(small_config, annotation_config, True, NEAR_DEDUP)
-        assert fingerprint(small_config, annotation_config, False, NEAR_DEDUP) != base
+        base = fingerprint(small_config, annotation_config, NEAR_DEDUP)
         assert (
-            fingerprint(small_config, annotation_config, True, not NEAR_DEDUP)
+            fingerprint(small_config, annotation_config, not NEAR_DEDUP)
             != base
         )
 
     def test_schema_version_in_payload(
         self, small_config, annotation_config, monkeypatch
     ):
-        base = fingerprint(small_config, annotation_config, True, NEAR_DEDUP)
+        base = fingerprint(small_config, annotation_config, NEAR_DEDUP)
         monkeypatch.setattr(
             "repro.core.cache.SCHEMA_VERSION", SCHEMA_VERSION + 1
         )
-        assert fingerprint(small_config, annotation_config, True, NEAR_DEDUP) != base
+        assert fingerprint(small_config, annotation_config, NEAR_DEDUP) != base
 
 
 class TestRoundTrip:
@@ -64,7 +63,7 @@ class TestRoundTrip:
         self, tmp_path, small_config, annotation_config
     ):
         cache = BuildCache(root=tmp_path / "cache")
-        key = fingerprint(small_config, annotation_config, True, NEAR_DEDUP)
+        key = fingerprint(small_config, annotation_config, NEAR_DEDUP)
         assert cache.load(key) is None
         built = build_dataset_cached(
             small_config, annotation_config,
@@ -132,7 +131,7 @@ class TestInvalidation:
             small_config, annotation_config,
             near_dedup=NEAR_DEDUP, cache=cache,
         )
-        key = fingerprint(small_config, annotation_config, True, NEAR_DEDUP)
+        key = fingerprint(small_config, annotation_config, NEAR_DEDUP)
         (cache.entry_dir(key) / "build.pkl").write_bytes(b"not a pickle")
         assert cache.load(key) is None
 
@@ -144,7 +143,7 @@ class TestInvalidation:
             small_config, annotation_config,
             near_dedup=NEAR_DEDUP, cache=cache,
         )
-        key = fingerprint(small_config, annotation_config, True, NEAR_DEDUP)
+        key = fingerprint(small_config, annotation_config, NEAR_DEDUP)
         assert cache.load(key) is not None
         monkeypatch.setattr(
             "repro.core.cache.SCHEMA_VERSION", SCHEMA_VERSION + 1
@@ -157,7 +156,7 @@ class TestInvalidation:
             small_config, annotation_config,
             near_dedup=NEAR_DEDUP, cache=cache,
         )
-        key = fingerprint(small_config, annotation_config, True, NEAR_DEDUP)
+        key = fingerprint(small_config, annotation_config, NEAR_DEDUP)
         assert cache.evict(key)
         assert not cache.has(key)
         assert not cache.evict(key)

@@ -40,12 +40,6 @@ class TestParser:
         assert args.requests == 96
         assert args.input is None
 
-    def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.format == "table"
-        assert args.limit == 10
-        assert args.slow_log is None
-
 
 class TestCommands:
     def test_build_stats_datacard(self, tmp_path, capsys):
@@ -168,9 +162,11 @@ class TestTelemetryCommands:
         assert "repro_serve_request_latency_seconds" in families
 
     def test_metrics_json_then_input_rerender(self, tmp_path, capsys):
+        from repro import perf
         from repro.perf import validate_prometheus
 
         snap_path = tmp_path / "snapshot.json"
+        perf.reset()  # the registry is process-wide; count this run only
         code = main([
             "metrics", "--scale", "0.02", "--requests", "16",
             "--format", "json", "--output", str(snap_path),
@@ -180,21 +176,11 @@ class TestTelemetryCommands:
 
         snap = json.loads(snap_path.read_text())
         assert "perf" in snap
-        assert snap["traces"]["stats"]["finished"] == 16
+        latency = snap["perf"]["observations"]["serve.request.latency_seconds"]
+        assert latency["hist"]["count"] == 16  # one per async request
         capsys.readouterr()
         # Re-render the saved snapshot to Prometheus without a rebuild.
         assert main(["metrics", "--input", str(snap_path)]) == 0
         text = capsys.readouterr().out
         assert "repro_serve_requests_total" in text
         validate_prometheus(text)
-
-    def test_trace_table_output(self, capsys):
-        code = main([
-            "trace", "--scale", "0.02", "--requests", "8",
-            "--batch-size", "4", "--limit", "3",
-        ])
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "req-" in printed
-        assert "enqueue@" in printed
-        assert "complete@" in printed

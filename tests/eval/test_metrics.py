@@ -12,7 +12,6 @@ from repro.eval.metrics import (
     confusion_matrix,
     macro_f1,
     per_class_f1,
-    precision_recall,
 )
 
 
@@ -70,13 +69,6 @@ class TestF1:
         f1 = per_class_f1(ys, ys)
         present = np.unique(ys)
         assert np.allclose(f1[present], 1.0)
-
-
-class TestPrecisionRecall:
-    def test_values(self):
-        precision, recall = precision_recall([0, 0, 1], [0, 1, 1])
-        assert precision[1] == pytest.approx(0.5)
-        assert recall[0] == pytest.approx(0.5)
 
 
 class TestEvalReport:

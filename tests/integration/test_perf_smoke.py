@@ -185,6 +185,6 @@ class TestCacheSmoke:
             config, annotation, near_dedup=False, cache=cache
         )
         warm_s = time.perf_counter() - start
-        assert cache.has(fingerprint(config, annotation, True, False))
+        assert cache.has(fingerprint(config, annotation, False))
         assert warm.dataset.labels == cold.dataset.labels
         assert warm_s < cold_s  # disk load vs full pipeline

@@ -1,6 +1,8 @@
 """InferenceEngine: batching, caching, lifecycle, output integrity."""
 
+import threading
 import time
+from concurrent.futures import wait as futures_wait
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from repro import perf
 from repro.core.errors import ModelError
 from repro.models import create_model
 from repro.serve import EngineConfig, InferenceEngine
+from repro.serve.engine import RequestTiming
 
 
 @pytest.fixture(scope="module")
@@ -124,61 +127,23 @@ class TestTracing:
     def test_async_request_is_traced_with_lifecycle_events(
         self, fitted_logreg, small_splits
     ):
-        from repro.perf.tracing import LIFECYCLE_EVENTS
-
         with InferenceEngine(fitted_logreg) as eng:
             future = eng.submit(small_splits.test[0])
             future.result(timeout=10.0)
-            traces = eng.recent_traces()
-        assert len(traces) == 1
-        trace = traces[0]
-        assert future.trace.trace_id == trace["trace_id"]
-        names = [e["name"] for e in trace["events"]]
-        assert names == list(LIFECYCLE_EVENTS)
-        times = [e["t_ms"] for e in trace["events"]]
-        assert times == sorted(times)
-        assert trace["total_ms"] > 0
-        assert trace["metadata"]["batch_size"] == 1
+        timing = future.trace
+        assert timing.enqueued <= timing.dispatched <= timing.completed
+        assert timing.queue_wait_s == timing.dispatched - timing.enqueued
+        assert timing.total_s == timing.completed - timing.enqueued
+        assert timing.total_s >= timing.queue_wait_s >= 0.0
 
-    def test_slow_request_hits_ring_and_jsonl(
-        self, fitted_logreg, small_splits, tmp_path, monkeypatch
-    ):
-        """A deliberately slow request must surface in the trace ring
-        buffer AND the slow-request JSONL with all six lifecycle events
-        in order."""
-        import json
-        import time as _time
-
-        from repro.perf.tracing import LIFECYCLE_EVENTS
-
-        real_predict = fitted_logreg.predict_proba
-
-        def slow_predict(windows):
-            _time.sleep(0.05)
-            return real_predict(windows)
-
-        monkeypatch.setattr(fitted_logreg, "predict_proba", slow_predict)
-        log = tmp_path / "slow_requests.jsonl"
-        config = EngineConfig(
-            slow_threshold_s=0.02, slow_log_path=str(log)
-        )
-        with InferenceEngine(fitted_logreg, config) as eng:
-            future = eng.submit(small_splits.test[0])
-            future.result(timeout=10.0)
-            ring = eng.recent_traces()
-            stats = eng.stats()
-
-        assert stats["traces"]["slow"] == 1
-        assert len(ring) == 1
-        entries = [json.loads(line) for line in log.read_text().splitlines()]
-        assert len(entries) == 1
-        entry = entries[0]
-        assert entry["trace_id"] == ring[0]["trace_id"]
-        names = [e["name"] for e in entry["events"]]
-        assert names == list(LIFECYCLE_EVENTS)
-        times = [e["t_ms"] for e in entry["events"]]
-        assert times == sorted(times)
-        assert entry["total_ms"] >= 20.0
+    def test_request_timing_before_dispatch_reads_zero(self):
+        timing = RequestTiming()
+        assert timing.queue_wait_s == 0.0
+        assert timing.total_s == 0.0
+        timing.dispatched = timing.enqueued + 0.002
+        timing.completed = timing.enqueued + 0.005
+        assert timing.queue_wait_s == pytest.approx(0.002)
+        assert timing.total_s == pytest.approx(0.005)
 
     def test_latency_observations_feed_registry(
         self, fitted_logreg, small_splits
@@ -191,24 +156,43 @@ class TestTracing:
         snap = perf.snapshot()
         lat = snap["observations"]["serve.request.latency_seconds"]
         assert lat["hist"]["count"] == 4
-        assert "serve.request.queue_wait_seconds" in snap["observations"]
+        wait = snap["observations"]["serve.request.queue_wait_seconds"]
+        assert wait["hist"]["count"] == 4
         assert "serve.queue_depth" in snap["gauges"]
         assert "serve.in_flight_batches" in snap["gauges"]
         perf.reset()
 
-    def test_ring_buffer_is_bounded(self, fitted_logreg, small_splits):
-        config = EngineConfig(trace_ring_size=4)
-        with InferenceEngine(fitted_logreg, config) as eng:
-            futures = [
-                eng.submit(small_splits.test[i % len(small_splits.test)])
-                for i in range(10)
-            ]
-            for f in futures:
-                f.result(timeout=10.0)
-            traces = eng.recent_traces()
-            stats = eng.stats()
-        assert len(traces) == 4
-        assert stats["traces"]["finished"] == 10
+    def test_failed_batch_still_observes_each_request(self, fitted_logreg):
+        perf.reset()
+        with InferenceEngine(fitted_logreg) as eng:
+            future = eng.submit("not a window")
+            with pytest.raises(Exception):
+                future.result(timeout=10.0)
+        lat = perf.snapshot()["observations"]["serve.request.latency_seconds"]
+        perf.reset()
+        assert lat["hist"]["count"] == 1
+        assert future.trace.total_s >= future.trace.queue_wait_s > 0.0
+
+
+def test_submit_racing_close_resolves(fitted_logreg, small_splits):
+    """A ``close()`` that runs between ``submit``'s open check and its
+    enqueue must not strand the request on a dead queue: the future
+    resolves (or fails) instead of hanging forever."""
+    eng = InferenceEngine(fitted_logreg)
+    real_ensure_open = eng._ensure_open
+    closer = threading.Thread(target=eng.close)
+
+    def ensure_open_then_close():
+        real_ensure_open()
+        closer.start()
+        closer.join(timeout=0.5)  # let close() run to completion if it can
+
+    eng._ensure_open = ensure_open_then_close
+    future = eng.submit(small_splits.test[0])
+    done, _ = futures_wait([future], timeout=10.0)
+    closer.join(timeout=10.0)
+    assert future in done, "submit raced close() and its future never resolved"
+    assert not closer.is_alive()
 
 
 def test_tokenization_cache_is_the_pipelines(small_splits, small_dataset):

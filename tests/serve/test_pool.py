@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.core.errors import ModelError, NotFittedError
 from repro.core.schema import NUM_CLASSES
 from repro.models import create_model
@@ -206,30 +207,7 @@ class TestLifecycle:
 
 
 class TestTelemetry:
-    def test_worker_snapshots_merge(self, fitted_logreg, small_splits):
-        windows = list(small_splits.test)
-        config = PoolConfig(num_workers=2, engine=EngineConfig(max_batch_size=2))
-        with WorkerPool(fitted_logreg, config) as pool:
-            pool.predict_many(windows, timeout=60.0)
-        snaps = pool.worker_snapshots
-        assert sorted(snaps) == [0, 1]
-        merged = pool.merged_telemetry(include_parent=False)
-        # Workers together scored every window exactly once.
-        assert merged["counters"]["serve.requests"] == len(windows)
-        span = merged["spans"]["serve.predict_many"]
-        assert span["calls"] == sum(
-            s["spans"]["serve.predict_many"]["calls"]
-            for s in snaps.values()
-            if "serve.predict_many" in s["spans"]
-        )
-        # Per-worker gauges survive, namespaced.
-        assert all(
-            key.startswith("pool.worker") for key in merged["gauges"]
-        )
-
     def test_parent_latency_histogram(self, fitted_logreg, small_splits):
-        from repro import perf
-
         windows = list(small_splits.test)[:4]
         with WorkerPool(fitted_logreg, PoolConfig(num_workers=1)) as pool:
             pool.predict_many(windows, timeout=60.0)
@@ -249,7 +227,7 @@ def test_pool_smoke_bench(fitted_logreg, small_splits):
         pooled = pool.predict_many(traffic, timeout=300.0)
     np.testing.assert_array_equal(pooled.argmax(axis=1), single.argmax(axis=1))
     np.testing.assert_array_equal(pooled, single)  # float64, bitwise
-    latency = pool.merged_telemetry(include_parent=True)["observations"][
+    latency = perf.snapshot()["observations"][
         "serve.pool.request.latency_seconds"
     ]
     assert latency["hist"]["count"] > 0
