@@ -12,11 +12,14 @@ stage (§II-A2) has real work to do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import timedelta
+from itertools import accumulate
 
 import numpy as np
 
+from repro import perf
 from repro.core.config import CorpusConfig
 from repro.core.rng import SeedSequenceRegistry
 from repro.core.schema import RiskLevel
@@ -30,6 +33,7 @@ from repro.corpus.users import (
     sample_post_hours,
     sample_profiles,
     sample_trajectory,
+    transition_cdf,
 )
 
 SUBREDDIT = "SuicideWatch"
@@ -38,6 +42,38 @@ SUBREDDIT = "SuicideWatch"
 DUPLICATE_RATE = 0.02
 NOISE_RATE = 0.12
 OFFTOPIC_RATE = 0.03
+
+_US_PER_HOUR = 3_600_000_000
+_US_PER_MINUTE = 60_000_000
+_SECONDS_PER_DAY = 86_400
+
+
+def place_in_day(timestamp: float, hour: float, minute: int) -> float:
+    """POSIX time at ``hour`` + ``minute`` past the UTC midnight of
+    ``timestamp``.
+
+    Equal, bit for bit, to ``(utc_from_timestamp(timestamp).replace(
+    hour=0, minute=0, second=0, microsecond=0) + timedelta(hours=hour,
+    minutes=minute)).timestamp()`` without building the three objects:
+    ``datetime`` works in integer microseconds, so each of its roundings
+    is repeated here. ``fromtimestamp`` rounds the fraction of a second
+    half-even to the microsecond (which can carry into the next second)
+    before the day is taken; ``timedelta(hours=hour)`` rounds the
+    fraction of ``hour`` half-even to the microsecond; ``timestamp()``
+    divides the microseconds since the epoch by 10**6. ``round`` rounds
+    half-even.
+    """
+    seconds = math.floor(timestamp)
+    if round((timestamp - seconds) * 1e6) >= 1_000_000:
+        seconds += 1
+    whole_hours = math.floor(hour)
+    micros = (
+        (seconds - seconds % _SECONDS_PER_DAY) * 1_000_000
+        + whole_hours * _US_PER_HOUR
+        + round((hour - whole_hours) * float(_US_PER_HOUR))
+        + minute * _US_PER_MINUTE
+    )
+    return micros / 1_000_000
 
 
 @dataclass
@@ -83,7 +119,10 @@ class CorpusGenerator:
     def __init__(self, config: CorpusConfig | None = None) -> None:
         self.config = config or CorpusConfig()
         self._registry = SeedSequenceRegistry(self.config.seed)
-        self._kernel = risk_transition_matrix(self.config.label_mix)
+        self._cdf = transition_cdf(risk_transition_matrix(self.config.label_mix))
+        self._start_ts = self.config.start.timestamp()
+        self._end_ts = self.config.end.timestamp()
+        self._window_s = (self.config.end - self.config.start).total_seconds()
 
     # -- timeline ----------------------------------------------------------
 
@@ -95,27 +134,21 @@ class CorpusGenerator:
         temporal_strength: float,
     ) -> list[float]:
         """POSIX timestamps for one user's posts inside the crawl window."""
-        cfg = self.config
         gaps = sample_gaps_hours(rng, profile, trajectory, temporal_strength)
         span_seconds = float(gaps.sum()) * 3600.0
-        window = (cfg.end - cfg.start).total_seconds()
+        window = self._window_s
         if span_seconds >= window * 0.95:
             gaps = gaps * (window * 0.95 / max(span_seconds, 1.0) / 3600.0) * 3600.0
             span_seconds = float(gaps.sum()) * 3600.0
         slack = max(0.0, window - span_seconds)
-        start_ts = cfg.start.timestamp() + rng.random() * slack
-        offsets = np.concatenate([[0.0], np.cumsum(gaps) * 3600.0])
+        start = self._start_ts + rng.random() * slack
+        offsets = [0.0] + [c * 3600.0 for c in accumulate(gaps.tolist())]
         hours = sample_post_hours(rng, profile, len(offsets))
+        first, last, integers = self._start_ts, self._end_ts, rng.integers
         timestamps = []
         for off, hour in zip(offsets, hours):
-            ts = start_ts + off
-            day = utc_from_timestamp(ts).replace(
-                hour=0, minute=0, second=0, microsecond=0
-            )
-            placed = day + timedelta(hours=float(hour), minutes=float(rng.integers(60)))
-            timestamps.append(
-                min(cfg.end.timestamp(), max(cfg.start.timestamp(), placed.timestamp()))
-            )
+            placed = place_in_day(start + off, hour, int(integers(60)))
+            timestamps.append(min(last, max(first, placed)))
         timestamps.sort()
         # Enforce strictly increasing times so ordering is unambiguous.
         for i in range(1, len(timestamps)):
@@ -132,21 +165,21 @@ class CorpusGenerator:
         sampler: SentenceSampler,
         profile: UserProfile,
     ) -> None:
-        trajectory = sample_trajectory(rng, profile, self._kernel)
+        trajectory = sample_trajectory(rng, profile, self._cdf)
         timestamps = self._place_timeline(
             rng, profile, trajectory, self.config.temporal_strength
         )
+        integers, body, title = rng.integers, sampler.body, sampler.title
         for level, ts in zip(trajectory.levels, timestamps):
-            n_sentences = int(rng.integers(2, 7))
-            body = sampler.body(level, n_sentences)
-            title = sampler.title(level)
+            body_text = body(level, int(integers(2, 7)))
+            title_text = title(level)
             reddit.submit(
                 RedditPost(
                     post_id=reddit.next_post_id(),
                     author=profile.author,
                     subreddit=SUBREDDIT,
-                    title=title,
-                    body=body,
+                    title=title_text,
+                    body=body_text,
                     created_utc=utc_from_timestamp(ts),
                     oracle_label=level,
                 )
@@ -176,10 +209,11 @@ class CorpusGenerator:
                 )
             )
         # Off-topic submissions from background accounts.
+        # The dirt stream draws only the times (the text comes from the
+        # sampler's stream), so all of them are one call.
         num_offtopic = int(n * OFFTOPIC_RATE)
-        window = (self.config.end - self.config.start).total_seconds()
-        for i in range(num_offtopic):
-            ts = self.config.start.timestamp() + rng.random() * window
+        stamps = self._start_ts + rng.random(num_offtopic) * self._window_s
+        for i, ts in enumerate(stamps.tolist()):
             reddit.submit(
                 RedditPost(
                     post_id=reddit.next_post_id(),
@@ -196,10 +230,10 @@ class CorpusGenerator:
         self, rng: np.random.Generator, sampler: SentenceSampler, reddit: RedditSimulator
     ) -> None:
         """Append noise fragments to a fraction of submissions in place."""
-        sub = reddit.subreddit(SUBREDDIT)
-        for i, post in enumerate(sub.posts):
-            if rng.random() < NOISE_RATE:
-                sub.posts[i] = post.with_body(post.body + sampler.noise())
+        posts = reddit.subreddit(SUBREDDIT).posts
+        for i, u in enumerate(rng.random(len(posts)).tolist()):
+            if u < NOISE_RATE:
+                posts[i] = posts[i].with_body(posts[i].body + sampler.noise())
 
     # -- public API ---------------------------------------------------------
 
@@ -209,54 +243,56 @@ class CorpusGenerator:
         reddit = RedditSimulator()
         reddit.create_subreddit(SUBREDDIT)
 
-        profile_rng = self._registry.get("profiles")
-        annotated = sample_profiles(
-            profile_rng,
-            cfg.num_users,
-            cfg.target_posts,
-            cfg.label_mix,
-            cfg.temporal_strength,
-        )
-        # Background (unannotated) pool — same generative process, separate
-        # author namespace, sized to the remaining crawl volume.
-        bg_posts = max(0, cfg.raw_pool_posts - cfg.target_posts)
-        bg_users = max(1, cfg.raw_pool_users - cfg.num_users)
-        bg_users = min(bg_users, max(1, bg_posts))  # at least 1 post each
-        background = sample_profiles(
-            self._registry.get("background-profiles"),
-            bg_users,
-            max(bg_users, bg_posts),
-            cfg.label_mix,
-            cfg.temporal_strength,
-        )
-        background = [
-            UserProfile(
-                author=f"bg_{p.author}",
-                base_level=p.base_level,
-                num_posts=p.num_posts,
-                night_owl=p.night_owl,
-                mean_gap_hours=p.mean_gap_hours,
+        with perf.span("corpus.profiles"):
+            annotated = sample_profiles(
+                self._registry.get("profiles"),
+                cfg.num_users,
+                cfg.target_posts,
+                cfg.label_mix,
+                cfg.temporal_strength,
             )
-            for p in background
-        ]
+            # Background (unannotated) pool — same generative process,
+            # separate author namespace, sized to the remaining crawl volume.
+            bg_posts = max(0, cfg.raw_pool_posts - cfg.target_posts)
+            bg_users = max(1, cfg.raw_pool_users - cfg.num_users)
+            bg_users = min(bg_users, max(1, bg_posts))  # at least 1 post each
+            background = sample_profiles(
+                self._registry.get("background-profiles"),
+                bg_users,
+                max(bg_users, bg_posts),
+                cfg.label_mix,
+                cfg.temporal_strength,
+            )
+            background = [
+                UserProfile(
+                    author=f"bg_{p.author}",
+                    base_level=p.base_level,
+                    num_posts=p.num_posts,
+                    night_owl=p.night_owl,
+                    mean_gap_hours=p.mean_gap_hours,
+                )
+                for p in background
+            ]
 
-        text_rng = self._registry.get("text")
-        sampler = SentenceSampler(
-            text_rng,
-            cfg.lexical_strength,
-            hard_fraction=cfg.hard_fraction,
-            ambiguity_noise=cfg.ambiguity_noise,
-        )
-        emit_rng = self._registry.get("emission")
-        for profile in annotated + background:
-            self._emit_user_posts(reddit, emit_rng, sampler, profile)
+        with perf.span("corpus.emission"):
+            sampler = SentenceSampler(
+                self._registry.get("text"),
+                cfg.lexical_strength,
+                hard_fraction=cfg.hard_fraction,
+                ambiguity_noise=cfg.ambiguity_noise,
+            )
+            emit_rng = self._registry.get("emission")
+            for profile in annotated + background:
+                self._emit_user_posts(reddit, emit_rng, sampler, profile)
 
-        clean = list(reddit.subreddit(SUBREDDIT).posts)
-        dirt_rng = self._registry.get("dirt")
-        self._emit_dirt(reddit, dirt_rng, sampler, clean)
-        self._pollute_bodies(dirt_rng, sampler, reddit)
+        with perf.span("corpus.dirt"):
+            clean = list(reddit.subreddit(SUBREDDIT).posts)
+            dirt_rng = self._registry.get("dirt")
+            self._emit_dirt(reddit, dirt_rng, sampler, clean)
+            self._pollute_bodies(dirt_rng, sampler, reddit)
 
-        raw = crawl(reddit, SUBREDDIT, cfg.start, cfg.end)
+        with perf.span("corpus.crawl"):
+            raw = crawl(reddit, SUBREDDIT, cfg.start, cfg.end)
         return SyntheticCorpus(
             reddit=reddit,
             raw_posts=raw,

@@ -19,7 +19,7 @@ import string
 
 import numpy as np
 
-from repro.core.schema import RiskLevel
+from repro.core.schema import ALL_LEVELS, RiskLevel
 
 #: Risk phrases shared by ALL four hard banks — the phrase itself carries
 #: no label; only the frame around it does.
@@ -357,8 +357,67 @@ NOISE_FRAGMENTS: tuple[str, ...] = (
 )
 
 
+#: A template split at its slots: the text before the first slot, then
+#: one ``(pool, text up to the next slot)`` pair per slot.
+CompiledTemplate = tuple[str, tuple[tuple[tuple[str, ...], str], ...]]
+
+
+def compile_template(template: str) -> CompiledTemplate:
+    """Split ``template`` at its ``{slot}`` placeholders.
+
+    Filling the compiled form left to right draws the slots in the order
+    ``string.Formatter().parse`` lists them, one ``integers(len(pool))``
+    each. Templates are plain text plus ``{slot}`` fields; anything else
+    (escaped braces, conversions, format specs) is rejected, since the
+    join of literals and values would not reproduce it.
+    """
+    literals: list[str] = []
+    pools: list[tuple[str, ...]] = []
+    for literal, slot, spec, conversion in string.Formatter().parse(template):
+        if spec or conversion or "{" in literal or "}" in literal:
+            raise ValueError(f"unsupported template syntax: {template!r}")
+        literals.append(literal)
+        if slot is not None:
+            pools.append(SLOT_POOLS[slot])
+    if len(literals) == len(pools):
+        literals.append("")
+    return literals[0], tuple(zip(pools, literals[1:]))
+
+
+def _compile_bank(bank: tuple[str, ...]) -> tuple[CompiledTemplate, ...]:
+    return tuple(compile_template(t) for t in bank)
+
+
+def _compile_levels(
+    banks: dict[RiskLevel, tuple[str, ...]],
+) -> tuple[tuple[CompiledTemplate, ...], ...]:
+    """Per-level banks as a tuple indexed by the level's value."""
+    return tuple(_compile_bank(banks[level]) for level in ALL_LEVELS)
+
+
+_NEUTRAL_BANK = _compile_bank(NEUTRAL_SENTENCES)
+_SIGNAL_BANKS = _compile_levels(SIGNAL_SENTENCES)
+_HARD_SIGNAL_BANKS = _compile_levels(HARD_SIGNAL_SENTENCES)
+_TITLE_BANKS = _compile_levels(TITLE_TEMPLATES)
+_NEUTRAL_TITLE_BANK = _compile_bank(
+    ("Need to get this off my chest", "Just venting", "A long post")
+)
+_OFFTOPIC_BANK = _compile_bank(OFFTOPIC_SENTENCES)
+
+#: The adjacent severity levels of each level, indexed by its value.
+_NEIGHBOURS: tuple[tuple[RiskLevel, ...], ...] = tuple(
+    tuple(ALL_LEVELS[v] for v in (int(level) - 1, int(level) + 1) if 0 <= v <= 3)
+    for level in ALL_LEVELS
+)
+
+
 class SentenceSampler:
     """Samples filled-in sentences for a given risk level.
+
+    Every draw comes from ``rng`` in a data-dependent interleave of
+    ``random()`` and ``integers(k)`` calls, so the draws stay one call
+    each; what is cut is the work around them (pre-split templates,
+    per-level tuples instead of enum lookups, bound RNG methods).
 
     Parameters
     ----------
@@ -376,7 +435,8 @@ class SentenceSampler:
         hard_fraction: float = 0.5,
         ambiguity_noise: float = 0.0,
     ) -> None:
-        self._rng = rng
+        self._random = rng.random
+        self._integers = rng.integers
         self._lexical_strength = float(lexical_strength)
         self._hard_fraction = float(hard_fraction)
         self._ambiguity_noise = float(ambiguity_noise)
@@ -388,25 +448,24 @@ class SentenceSampler:
         past states, hedge, or escalate mid-post); this is the corpus's
         irreducible-error dial.
         """
-        if self._rng.random() >= self._ambiguity_noise:
+        if self._random() >= self._ambiguity_noise:
             return level
-        candidates = [
-            RiskLevel(v)
-            for v in (int(level) - 1, int(level) + 1)
-            if 0 <= v <= 3
-        ]
-        return candidates[int(self._rng.integers(len(candidates)))]
+        candidates = _NEIGHBOURS[level]
+        return candidates[self._integers(len(candidates))]
+
+    def _fill(self, template: CompiledTemplate) -> str:
+        text, slots = template
+        integers = self._integers
+        for pool, tail in slots:
+            text += pool[integers(len(pool))] + tail
+        return text
+
+    def _draw(self, bank: tuple[CompiledTemplate, ...]) -> str:
+        return self._fill(bank[self._integers(len(bank))])
 
     def fill(self, template: str) -> str:
         """Fill every ``{slot}`` in a template from :data:`SLOT_POOLS`."""
-        out = template
-        for _, slot, _, _ in string.Formatter().parse(template):
-            if slot is None:
-                continue
-            pool = SLOT_POOLS[slot]
-            value = pool[int(self._rng.integers(len(pool)))]
-            out = out.replace("{" + slot + "}", value, 1)
-        return out
+        return self._fill(compile_template(template))
 
     def sentence(self, level: RiskLevel) -> str:
         """One sentence: signal with prob ``lexical_strength``, else neutral.
@@ -414,40 +473,40 @@ class SentenceSampler:
         A signal sentence is *hard* (adjacent-class vocabulary, the label
         carried by composition only) with prob ``hard_fraction``.
         """
-        if self._rng.random() < self._lexical_strength:
-            emitted = self._noisy_level(level)
-            if self._rng.random() < self._hard_fraction:
-                bank = HARD_SIGNAL_SENTENCES[emitted]
-            else:
-                bank = SIGNAL_SENTENCES[emitted]
-        else:
-            bank = NEUTRAL_SENTENCES
-        template = bank[int(self._rng.integers(len(bank)))]
-        return self.fill(template)
+        return self.body(level, 1)
 
     def title(self, level: RiskLevel) -> str:
         """A short title; carries *easy* signal with reduced probability
         (hard posts keep neutral titles so the title is not a shortcut)."""
         signal_p = self._lexical_strength * (1.0 - self._hard_fraction)
-        if self._rng.random() < signal_p:
-            bank = TITLE_TEMPLATES[level]
-        else:
-            bank = ("Need to get this off my chest", "Just venting", "A long post")
-        template = bank[int(self._rng.integers(len(bank)))]
-        return self.fill(template)
+        if self._random() < signal_p:
+            return self._draw(_TITLE_BANKS[level])
+        return self._draw(_NEUTRAL_TITLE_BANK)
 
     def body(self, level: RiskLevel, num_sentences: int) -> str:
         """A body of ``num_sentences`` sentences for the risk level."""
-        sentences = [self.sentence(level) for _ in range(max(1, num_sentences))]
+        random, integers = self._random, self._integers
+        noisy_level, fill = self._noisy_level, self._fill
+        lexical_strength = self._lexical_strength
+        hard_fraction = self._hard_fraction
+        sentences = []
+        for _ in range(max(1, num_sentences)):
+            if random() < lexical_strength:
+                emitted = noisy_level(level)
+                if random() < hard_fraction:
+                    bank = _HARD_SIGNAL_BANKS[emitted]
+                else:
+                    bank = _SIGNAL_BANKS[emitted]
+            else:
+                bank = _NEUTRAL_BANK
+            sentences.append(fill(bank[integers(len(bank))]))
         return " ".join(sentences)
 
     def offtopic(self) -> str:
         """An off-topic sentence (for crawl-pool noise)."""
-        bank = OFFTOPIC_SENTENCES
-        template = bank[int(self._rng.integers(len(bank)))]
-        return self.fill(template)
+        return self._draw(_OFFTOPIC_BANK)
 
     def noise(self) -> str:
         """A noise fragment (URL, zero-width chars, hashtag spam...)."""
         bank = NOISE_FRAGMENTS
-        return bank[int(self._rng.integers(len(bank)))]
+        return bank[self._integers(len(bank))]

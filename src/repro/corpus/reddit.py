@@ -23,13 +23,12 @@ _BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def _to_base36(value: int) -> str:
-    if value == 0:
-        return "0"
-    digits = []
-    while value:
+    digits = ""
+    while True:
         value, rem = divmod(value, 36)
-        digits.append(_BASE36[rem])
-    return "".join(reversed(digits))
+        digits = _BASE36[rem] + digits
+        if not value:
+            return digits
 
 
 @dataclass

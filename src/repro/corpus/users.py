@@ -9,6 +9,7 @@ signal, as the paper's XGBoost feature-importance analysis reports.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,23 @@ def risk_transition_matrix(label_mix: dict[RiskLevel, float]) -> np.ndarray:
     mix = mix / mix.sum()
     kernel = RISK_PERSISTENCE * np.eye(NUM_CLASSES) + (1 - RISK_PERSISTENCE) * mix
     return kernel
+
+
+def transition_cdf(kernel: np.ndarray) -> tuple[list[float], ...]:
+    """Cumulative rows of ``kernel``, as ``Generator.choice`` builds them.
+
+    ``rng.choice(k, p=row)`` draws one ``rng.random()`` ``u`` and returns
+    ``cdf.searchsorted(u, side="right")`` with ``cdf = row.cumsum()``
+    divided by its last entry; :func:`sample_trajectory` does the same
+    lookup with :func:`bisect.bisect_right` on these lists, so the rows
+    are computed once per kernel instead of once per step.
+    """
+    rows = []
+    for row in np.ascontiguousarray(kernel, dtype=float):
+        cdf = row.cumsum()
+        cdf /= cdf[-1]
+        rows.append(cdf.tolist())
+    return tuple(rows)
 
 
 def sample_posts_per_user(
@@ -96,25 +114,24 @@ def sample_profiles(
     mix = np.array([label_mix[level] for level in ALL_LEVELS], dtype=float)
     mix = mix / mix.sum()
     base_levels = rng.choice(NUM_CLASSES, size=num_users, p=mix)
+    # beta and lognormal draws alternate per user, so they stay scalar.
+    beta, lognormal = rng.beta, rng.lognormal
+    log_mean_gap = np.log(120.0)
     profiles = []
-    for i in range(num_users):
-        level = RiskLevel(int(base_levels[i]))
-        severity = level / (NUM_CLASSES - 1)  # 0..1
-        night = float(
-            np.clip(
-                rng.beta(2, 5) + temporal_strength * 0.45 * severity, 0.0, 0.95
-            )
+    for i, (state, count) in enumerate(zip(base_levels.tolist(), counts.tolist())):
+        severity = state / (NUM_CLASSES - 1)  # 0..1
+        night = min(
+            max(beta(2, 5) + temporal_strength * 0.45 * severity, 0.0), 0.95
         )
         # Baseline ~5 days between posts; severe users post more often.
-        gap_hours = float(
-            rng.lognormal(mean=np.log(120.0), sigma=0.5)
-            * (1.0 - temporal_strength * 0.55 * severity)
+        gap_hours = lognormal(log_mean_gap, 0.5) * (
+            1.0 - temporal_strength * 0.55 * severity
         )
         profiles.append(
             UserProfile(
                 author=f"user_{i:05d}",
-                base_level=level,
-                num_posts=int(counts[i]),
+                base_level=ALL_LEVELS[state],
+                num_posts=count,
                 night_owl=night,
                 mean_gap_hours=max(2.0, gap_hours),
             )
@@ -136,35 +153,46 @@ class RiskTrajectory:
 def sample_trajectory(
     rng: np.random.Generator,
     profile: UserProfile,
-    kernel: np.ndarray,
+    cdf: tuple[list[float], ...],
 ) -> RiskTrajectory:
     """Run the latent chain for ``profile.num_posts`` steps.
 
-    The chain starts at the user's base level and evolves under
-    ``kernel``; consecutive posts therefore tend to share a level, with
-    occasional escalations/de-escalations — the "dynamic evolution of
-    suicide risk" the dataset is designed to expose.
+    The chain starts at the user's base level and evolves under the
+    kernel whose :func:`transition_cdf` is ``cdf``; consecutive posts
+    therefore tend to share a level, with occasional
+    escalations/de-escalations — the "dynamic evolution of suicide risk"
+    the dataset is designed to expose. Each step consumes one uniform,
+    so all steps draw theirs in one ``rng.random(n - 1)`` call: the same
+    stream as one ``rng.choice(NUM_CLASSES, p=kernel[state])`` per step.
     """
     state = int(profile.base_level)
-    levels = [RiskLevel(state)]
-    for _ in range(profile.num_posts - 1):
-        state = int(rng.choice(NUM_CLASSES, p=kernel[state]))
-        levels.append(RiskLevel(state))
+    levels = [ALL_LEVELS[state]]
+    if profile.num_posts > 1:
+        for u in rng.random(profile.num_posts - 1).tolist():
+            state = bisect_right(cdf[state], u)
+            levels.append(ALL_LEVELS[state])
     return RiskTrajectory(levels=levels)
 
 
 def sample_post_hours(
     rng: np.random.Generator, profile: UserProfile, n: int
-) -> np.ndarray:
+) -> list[float]:
     """Hour-of-day for ``n`` posts, mixing a day peak and a night peak.
 
     With probability ``night_owl`` the post lands in a late-night window
     (23:00–04:00), otherwise in a daytime window centred mid-afternoon.
+    Most users write one or two posts, so the arithmetic runs on Python
+    floats (the same IEEE operations as numpy's, without its per-call
+    cost on tiny arrays).
     """
-    night = rng.random(n) < profile.night_owl
-    day_hours = np.clip(rng.normal(15.0, 3.5, size=n), 6, 22)
-    night_hours = (23.0 + rng.exponential(2.0, size=n)) % 24.0
-    return np.where(night, night_hours, day_hours)
+    night = rng.random(n).tolist()
+    day = rng.normal(15.0, 3.5, size=n).tolist()
+    late = rng.exponential(2.0, size=n).tolist()
+    owl = profile.night_owl
+    return [
+        (23.0 + e) % 24.0 if u < owl else min(max(d, 6.0), 22.0)
+        for u, d, e in zip(night, day, late)
+    ]
 
 
 def sample_gaps_hours(

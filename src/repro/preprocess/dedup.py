@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import defaultdict
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +22,12 @@ _WORD_RE = re.compile(r"[a-z0-9']+")
 
 _MERSENNE_PRIME = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
+
+#: Shingle rows per broadcast block in :meth:`MinHasher.signatures`: at
+#: 64 permutations each block temporary is 512 KB, which stays in cache
+#: (on a 2-CPU x86 host, 512–2048 rows ran fastest and 8192 took 1.7x as
+#: long) and keeps the build's peak memory where the per-post loop had it.
+_BLOCK_ROWS = 1024
 
 
 def normalised_fingerprint(text: str) -> str:
@@ -34,7 +41,7 @@ def shingles(text: str, k: int = 3) -> set[str]:
     words = _WORD_RE.findall(text.lower())
     if len(words) < k:
         return {" ".join(words)} if words else set()
-    return {" ".join(words[i : i + k]) for i in range(len(words) - k + 1)}
+    return set(map(" ".join, zip(*(words[i:] for i in range(k)))))
 
 
 def jaccard(a: set[str], b: set[str]) -> float:
@@ -43,7 +50,8 @@ def jaccard(a: set[str], b: set[str]) -> float:
         return 1.0
     if not a or not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter)
 
 
 class MinHasher:
@@ -58,7 +66,7 @@ class MinHasher:
         self._b = rng.integers(0, _MERSENNE_PRIME, size=num_perm, dtype=np.uint64)
 
     @staticmethod
-    def _base_hashes(shingle_set: set[str]) -> np.ndarray:
+    def _base_hashes(shingle_set: Iterable[str]) -> np.ndarray:
         return np.array(
             [
                 int.from_bytes(
@@ -69,22 +77,51 @@ class MinHasher:
             dtype=np.uint64,
         )
 
+    def signatures(self, shingle_sets: Sequence[set[str]]) -> np.ndarray:
+        """MinHash signatures of many sets, shape ``(len(shingle_sets), num_perm)``.
+
+        Each distinct shingle is hashed once per call (templated text
+        repeats most shingles across posts). The sets' shingles then go
+        through ``(a·x + b) mod p`` in blocks of at most ``_BLOCK_ROWS``
+        rows (a larger set is a block of its own), and one
+        ``np.minimum.reduceat`` per block takes every set's column
+        minimum. uint64 arithmetic wraps identically here and in
+        :meth:`_signature_reference`, and a minimum does not depend on
+        the order it is taken in, so signatures are bitwise equal.
+        """
+        distinct = dict.fromkeys(chain.from_iterable(shingle_sets))
+        index = {shingle: row for row, shingle in enumerate(distinct)}
+        base = self._base_hashes(distinct)[
+            np.fromiter(
+                map(index.__getitem__, chain.from_iterable(shingle_sets)),
+                dtype=np.intp,
+            )
+        ]
+        sizes = np.fromiter(map(len, shingle_sets), dtype=np.intp)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        sigs = np.full((len(sizes), self.num_perm), _MAX_HASH, dtype=np.uint64)
+        first = 0
+        while first < len(sizes):
+            stop = max(
+                first + 1,
+                int(np.searchsorted(ends, starts[first] + _BLOCK_ROWS, "right")),
+            )
+            filled = first + np.flatnonzero(sizes[first:stop])
+            if filled.size:
+                lo = starts[filled[0]]
+                block = base[lo : ends[stop - 1], None]
+                hashed = (self._a[None, :] * block + self._b[None, :]) % _MERSENNE_PRIME
+                sigs[filled] = np.minimum.reduceat(hashed, starts[filled] - lo)
+            first = stop
+        return sigs & np.uint64(_MAX_HASH)
+
     def signature(self, shingle_set: set[str]) -> np.ndarray:
         """MinHash signature (uint64 vector of length ``num_perm``).
 
-        One ``(n_shingles, num_perm)`` broadcast of ``(a·x + b) mod p``
-        followed by a column minimum — no per-permutation Python loop
-        (that predecessor survives as :meth:`_signature_reference`).
-        uint64 arithmetic wraps identically in both, so signatures are
-        bitwise equal.
+        The one-set case of :meth:`signatures`.
         """
-        if not shingle_set:
-            return np.full(self.num_perm, _MAX_HASH, dtype=np.uint64)
-        base = self._base_hashes(shingle_set)
-        hashed = (
-            self._a[None, :] * base[:, None] + self._b[None, :]
-        ) % _MERSENNE_PRIME
-        return hashed.min(axis=0) & np.uint64(_MAX_HASH)
+        return self.signatures([shingle_set])[0]
 
     def _signature_reference(self, shingle_set: set[str]) -> np.ndarray:
         """Naive per-permutation predecessor, kept for equivalence tests."""
@@ -120,6 +157,40 @@ def remove_exact_duplicates(
     return kept, dropped
 
 
+def _band_buckets(sigs: np.ndarray, bands: int) -> list[list[int]]:
+    """Every LSH bucket of two or more rows of ``sigs``, members ascending.
+
+    A bucket is one band's slice of the signature shared by several rows.
+    Buckets come in the order a dict keyed by ``(band, slice bytes)``,
+    filled row by row and band by band, first sees them: by first member,
+    then by band. The near-dedup pass depends on that order (which pair
+    is checked first decides which post of a chain is dropped).
+    """
+    width = sigs.shape[1] // bands
+    key_type = np.dtype((np.void, width * sigs.dtype.itemsize))
+    found: list[tuple[int, int, list[int]]] = []
+    for band in range(bands):
+        keys = np.ascontiguousarray(sigs[:, band * width : (band + 1) * width])
+        _, first, inverse, counts = np.unique(
+            keys.view(key_type).ravel(),
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        shared = counts[inverse] >= 2
+        if not shared.any():
+            continue
+        members = np.flatnonzero(shared)
+        member_buckets = inverse[members]
+        order = np.argsort(member_buckets, kind="stable")
+        members, member_buckets = members[order], member_buckets[order]
+        cuts = np.flatnonzero(np.diff(member_buckets)) + 1
+        for group in np.split(members, cuts):
+            found.append((int(group[0]), band, group.tolist()))
+    found.sort(key=lambda bucket: bucket[:2])
+    return [group for _, _, group in found]
+
+
 def remove_near_duplicates(
     posts: list[RedditPost],
     threshold: float = 0.85,
@@ -136,16 +207,8 @@ def remove_near_duplicates(
         raise ValueError("num_perm must be divisible by bands")
     with perf.span("dedup.near"):
         ordered = sorted(posts, key=lambda p: (p.created_utc, p.post_id))
-        hasher = MinHasher(num_perm=num_perm)
         shingle_sets = [shingles(p.text) for p in ordered]
-        sigs = [hasher.signature(s) for s in shingle_sets]
-
-        rows = num_perm // bands
-        buckets: dict[tuple[int, bytes], list[int]] = defaultdict(list)
-        for idx, sig in enumerate(sigs):
-            for band in range(bands):
-                key = (band, sig[band * rows : (band + 1) * rows].tobytes())
-                buckets[key].append(idx)
+        sigs = MinHasher(num_perm=num_perm).signatures(shingle_sets)
 
         # A candidate pair typically collides in *several* bands; without
         # memoisation the worst case (many near-identical posts) does the
@@ -154,9 +217,7 @@ def remove_near_duplicates(
         # checked at most once across all buckets.
         drop: set[int] = set()
         checked: set[tuple[int, int]] = set()
-        for members in buckets.values():
-            if len(members) < 2:
-                continue
+        for members in _band_buckets(sigs, bands):
             for pos, i in enumerate(members):
                 if i in drop:
                     continue
@@ -167,8 +228,9 @@ def remove_near_duplicates(
                     if pair in checked:
                         continue
                     checked.add(pair)
-                    perf.count("dedup.pairs_checked")
                     if jaccard(shingle_sets[i], shingle_sets[j]) >= threshold:
                         drop.add(j)  # j is later (ordered list)
+        if checked:
+            perf.count("dedup.pairs_checked", len(checked))
         kept = [p for idx, p in enumerate(ordered) if idx not in drop]
     return kept, len(drop)

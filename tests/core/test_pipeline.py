@@ -2,25 +2,67 @@
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
+import pytest
 
 from repro.core.config import CorpusConfig
 from repro.core.pipeline import build_dataset
 from repro.core.schema import ALL_LEVELS
 
-#: JSONL sha256 of the seed-1 build at scale 0.02 (near-dedup and
-#: anonymisation on). A change to it changes the released dataset.
+#: sha256 digests of the seed-1 build at scale 0.02 (near-dedup and
+#: anonymisation on). The released JSONL misses the ~90 % of generated
+#: posts that become ``pretrain_texts``, so the background pool and the
+#: raw crawl are pinned too: a change to any of them changes what the
+#: generator draws.
 SEED1_SCALE002_SHA256 = (
     "ede3a4cd25572e056a441f070a7299eacac72b5502e13fa48deb91d7ab2dac33"
 )
+SEED1_SCALE002_PRETRAIN_SHA256 = (
+    "66e2a55abf3b1a5e51bba287f7697879b0cf4a58867bc8ff958e5c3c77016af6"
+)
+SEED1_SCALE002_RAW_CRAWL_SHA256 = (
+    "977fa82bbf4f621a5248d38926b0d5392e6b03691e5587533f794adf42b96c2f"
+)
 
 
-def test_seed1_dataset_bytes_are_pinned(tmp_path):
-    config = dataclasses.replace(CorpusConfig().scaled(0.02), seed=1)
+def _json_lines_sha256(rows) -> str:
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(json.dumps(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def seed1_build():
+    return build_dataset(dataclasses.replace(CorpusConfig().scaled(0.02), seed=1))
+
+
+def test_seed1_dataset_bytes_are_pinned(seed1_build, tmp_path):
     path = tmp_path / "dataset.jsonl"
-    build_dataset(config).dataset.to_jsonl(path)
+    seed1_build.dataset.to_jsonl(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SEED1_SCALE002_SHA256
+
+
+def test_seed1_pretrain_texts_are_pinned(seed1_build):
+    texts = seed1_build.dataset.pretrain_texts
+    assert _json_lines_sha256(texts) == SEED1_SCALE002_PRETRAIN_SHA256
+
+
+def test_seed1_raw_crawl_is_pinned(seed1_build):
+    rows = (
+        [
+            post.post_id,
+            post.author,
+            post.title,
+            post.body,
+            post.created_utc.isoformat(),
+            None if post.oracle_label is None else int(post.oracle_label),
+        ]
+        for post in seed1_build.corpus.raw_posts
+    )
+    assert _json_lines_sha256(rows) == SEED1_SCALE002_RAW_CRAWL_SHA256
 
 
 class TestBuildResult:

@@ -1,11 +1,62 @@
 """Tests for the synthetic corpus builder."""
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
 from repro.core.config import CorpusConfig
 from repro.core.schema import ALL_LEVELS
-from repro.corpus.generator import SUBREDDIT, CorpusGenerator, generate_corpus
+from repro.corpus.generator import (
+    SUBREDDIT,
+    CorpusGenerator,
+    generate_corpus,
+    place_in_day,
+)
+from repro.corpus.models import utc_from_timestamp
+
+
+def _place_with_datetime(timestamp, hour, minute):
+    day = utc_from_timestamp(timestamp).replace(
+        hour=0, minute=0, second=0, microsecond=0
+    )
+    return (day + timedelta(hours=hour, minutes=minute)).timestamp()
+
+
+class TestPlaceInDay:
+    def test_equals_datetime_arithmetic(self):
+        rng = np.random.default_rng(0)
+        config = CorpusConfig()
+        window = (config.end - config.start).total_seconds()
+        stamps = config.start.timestamp() + rng.random(5000) * window
+        hours = np.where(
+            rng.random(5000) < 0.3,
+            (23.0 + rng.exponential(2.0, 5000)) % 24.0,
+            np.clip(rng.normal(15.0, 3.5, 5000), 6, 22),
+        )
+        minutes = rng.integers(60, size=5000)
+        for stamp, hour, minute in zip(
+            stamps.tolist(), hours.tolist(), minutes.tolist()
+        ):
+            assert place_in_day(stamp, hour, minute) == _place_with_datetime(
+                stamp, hour, minute
+            )
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            1609459199.9999996,  # rounds up to the next second and day
+            1609459199.9999994,  # rounds down: stays on the earlier day
+            1609459200.0,
+            1577836800.0000005,
+        ],
+    )
+    @pytest.mark.parametrize("hour", [0.0, 23.999999999, 7.5, 1 / 7200000000])
+    def test_rounding_edges(self, stamp, hour):
+        for minute in (0, 59):
+            assert place_in_day(stamp, hour, minute) == _place_with_datetime(
+                stamp, hour, minute
+            )
 
 
 class TestGenerate:

@@ -1,5 +1,7 @@
 """Tests for the class-conditioned language banks."""
 
+import string
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,37 @@ from repro.core.schema import ALL_LEVELS, RiskLevel
 from repro.corpus.lexicon import (
     HARD_SIGNAL_SENTENCES,
     NEUTRAL_SENTENCES,
+    NOISE_FRAGMENTS,
+    OFFTOPIC_SENTENCES,
     RISK_PHRASES,
     SIGNAL_SENTENCES,
     SLOT_POOLS,
     SentenceSampler,
     TITLE_TEMPLATES,
+    compile_template,
 )
+
+ALL_TEMPLATES = (
+    NEUTRAL_SENTENCES
+    + OFFTOPIC_SENTENCES
+    + tuple(
+        template
+        for bank in (SIGNAL_SENTENCES, HARD_SIGNAL_SENTENCES, TITLE_TEMPLATES)
+        for level in ALL_LEVELS
+        for template in bank[level]
+    )
+)
+
+
+def _fill_by_replace(rng, template):
+    """Slot by slot, in parse order, each into its first placeholder."""
+    out = template
+    for _, slot, _, _ in string.Formatter().parse(template):
+        if slot is None:
+            continue
+        pool = SLOT_POOLS[slot]
+        out = out.replace("{" + slot + "}", pool[int(rng.integers(len(pool)))], 1)
+    return out
 
 
 @pytest.fixture()
@@ -48,6 +75,28 @@ class TestBanks:
 
     def test_risk_phrases_are_lowercase_fragments(self):
         assert all(p == p.lower() for p in RISK_PHRASES)
+
+
+class TestCompiledTemplates:
+    def test_fill_equals_replace_in_parse_order(self):
+        sampler = SentenceSampler(np.random.default_rng(4), 0.7)
+        reference = np.random.default_rng(4)
+        for _ in range(3):
+            for template in ALL_TEMPLATES + ("{time}{time} and {feeling}",):
+                assert sampler.fill(template) == _fill_by_replace(
+                    reference, template
+                )
+        # Both streams stop at the same point.
+        assert sampler.noise() == NOISE_FRAGMENTS[
+            int(reference.integers(len(NOISE_FRAGMENTS)))
+        ]
+
+    @pytest.mark.parametrize(
+        "template", ["{{literal}}", "a {time!r}", "a {time:>9}", "a }} b"]
+    )
+    def test_rejects_other_format_syntax(self, template):
+        with pytest.raises(ValueError):
+            compile_template(template)
 
 
 class TestSentenceSampler:

@@ -13,9 +13,11 @@ from repro.corpus.users import (
     sample_posts_per_user,
     sample_profiles,
     sample_trajectory,
+    transition_cdf,
 )
 
 MIX = CorpusConfig().label_mix
+CDF = transition_cdf(risk_transition_matrix(MIX))
 
 
 class TestTransitionMatrix:
@@ -103,18 +105,31 @@ class TestTrajectory:
         )
 
     def test_length(self, rng):
-        kernel = risk_transition_matrix(MIX)
-        traj = sample_trajectory(rng, self._profile(17), kernel)
+        traj = sample_trajectory(rng, self._profile(17), CDF)
         assert len(traj.levels) == 17
 
     def test_starts_at_base_level(self, rng):
-        kernel = risk_transition_matrix(MIX)
-        traj = sample_trajectory(rng, self._profile(), kernel)
+        traj = sample_trajectory(rng, self._profile(), CDF)
         assert traj.levels[0] is RiskLevel.IDEATION
 
-    def test_persistence(self, rng):
+    def test_same_draws_as_one_choice_per_step(self):
+        # One rng.random(n - 1) walks the chain exactly as one
+        # rng.choice(NUM_CLASSES, p=kernel[state]) per step does, and
+        # leaves the stream at the same point.
         kernel = risk_transition_matrix(MIX)
-        traj = sample_trajectory(rng, self._profile(500), kernel)
+        fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+        for n in (1, 2, 17, 300):
+            state = int(RiskLevel.IDEATION)
+            expected = [state]
+            for _ in range(n - 1):
+                state = int(slow.choice(NUM_CLASSES, p=kernel[state]))
+                expected.append(state)
+            traj = sample_trajectory(fast, self._profile(n), CDF)
+            assert [int(level) for level in traj.levels] == expected
+        assert fast.random() == slow.random()
+
+    def test_persistence(self, rng):
+        traj = sample_trajectory(rng, self._profile(500), CDF)
         same = np.mean(
             [a == b for a, b in zip(traj.levels, traj.levels[1:])]
         )
@@ -123,28 +138,37 @@ class TestTrajectory:
 
 class TestTiming:
     def test_hours_in_range(self, rng):
-        hours = sample_post_hours(rng, UserProfile("u", RiskLevel.IDEATION, 5, 0.5, 24.0), 500)
+        hours = np.array(
+            sample_post_hours(rng, UserProfile("u", RiskLevel.IDEATION, 5, 0.5, 24.0), 500)
+        )
         assert ((hours >= 0) & (hours < 24)).all()
+
+    def test_hours_equal_the_array_formula(self):
+        profile = UserProfile("u", RiskLevel.BEHAVIOR, 5, 0.4, 24.0)
+        fast, slow = np.random.default_rng(3), np.random.default_rng(3)
+        night = slow.random(400) < profile.night_owl
+        day = np.clip(slow.normal(15.0, 3.5, size=400), 6, 22)
+        late = (23.0 + slow.exponential(2.0, size=400)) % 24.0
+        expected = np.where(night, late, day).tolist()
+        assert sample_post_hours(fast, profile, 400) == expected
 
     def test_night_owls_post_at_night(self, rng):
         owl = UserProfile("u", RiskLevel.ATTEMPT, 5, 0.95, 24.0)
         lark = UserProfile("u", RiskLevel.INDICATOR, 5, 0.0, 24.0)
-        owl_hours = sample_post_hours(rng, owl, 500)
-        lark_hours = sample_post_hours(rng, lark, 500)
+        owl_hours = np.array(sample_post_hours(rng, owl, 500))
+        lark_hours = np.array(sample_post_hours(rng, lark, 500))
         night = lambda h: ((h >= 23) | (h < 5)).mean()
         assert night(owl_hours) > 0.7
         assert night(lark_hours) < 0.1
 
     def test_gaps_positive_and_length(self, rng):
         profile = UserProfile("u", RiskLevel.IDEATION, 9, 0.3, 24.0)
-        kernel = risk_transition_matrix(MIX)
-        traj = sample_trajectory(rng, profile, kernel)
+        traj = sample_trajectory(rng, profile, CDF)
         gaps = sample_gaps_hours(rng, profile, traj, 0.7)
         assert len(gaps) == 8
         assert (gaps > 0).all()
 
     def test_single_post_has_no_gaps(self, rng):
         profile = UserProfile("u", RiskLevel.IDEATION, 1, 0.3, 24.0)
-        kernel = risk_transition_matrix(MIX)
-        traj = sample_trajectory(rng, profile, kernel)
+        traj = sample_trajectory(rng, profile, CDF)
         assert sample_gaps_hours(rng, profile, traj, 0.7).size == 0

@@ -4,10 +4,13 @@ Each test times a vectorized kernel against its ``_reference`` twin (or
 the float32 network against its float64 twin) on a workload large enough
 that the fast path should win comfortably; the assertions use generous
 margins so a loaded CI machine doesn't flake. The memory guards compare
-traced peaks and count page faults, which do not depend on the load.
+traced peaks and count page faults, which do not depend on the load. The
+paper-scale build pin (about 20 s) guards every rewrite of the build's
+hot loops against a change of bytes.
 """
 
 import dataclasses
+import hashlib
 import platform
 import resource
 import time
@@ -188,3 +191,14 @@ class TestCacheSmoke:
         assert cache.has(fingerprint(config, annotation, False))
         assert warm.dataset.labels == cold.dataset.labels
         assert warm_s < cold_s  # disk load vs full pipeline
+
+
+class TestPaperScaleBuild:
+    #: JSONL sha256 of ``build_dataset(CorpusConfig())``: scale 1.0, seed
+    #: 15000 (``DEFAULT_SEED``), near-dedup and anonymisation on.
+    SHA256 = "7afc2da776704c3218e010a508d84881792c5adb739d55b199669f1d80814f96"
+
+    def test_dataset_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        build_dataset(CorpusConfig()).dataset.to_jsonl(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SHA256

@@ -1,17 +1,72 @@
 """Tests for noise stripping and relevance filtering."""
 
+import re
+import unicodedata
 from datetime import datetime, timezone
 
 import pytest
 
+from repro.corpus.lexicon import NOISE_FRAGMENTS, OFFTOPIC_SENTENCES
 from repro.corpus.models import RedditPost
 from repro.preprocess.cleaning import (
+    _BRACKET_TAG_RE,
+    _HASHTAG_RE,
+    _OFFTOPIC_PATTERNS,
+    _RELEVANCE_TERMS,
+    _REPEAT_PUNCT_RE,
+    _URL_RE,
+    _ZERO_WIDTH,
     clean_and_filter,
     clean_post,
     is_relevant,
     relevance_score,
     strip_noise,
 )
+
+#: Texts for the gated fast paths: off-topic and distress sentences, each
+#: noise fragment, and non-ASCII text that case-insensitive matching
+#: folds onto the patterns (long s, Kelvin sign).
+GATE_TEXTS = (
+    OFFTOPIC_SENTENCES
+    + NOISE_FRAGMENTS
+    + (
+        "I feel hopeless, anyone watching the game tonight?",
+        "Promo Code inside, I am so tired of everything",
+        "ſelling my laptop, feeling hopeless and alone",
+        "\u212ailled it at the game tonight, so exhausted",
+        "Visit WWW.Example.com #a #b now!!!   hopeless\u00a0and\tnumb ",
+        "HTTPS://x.example [Removed by mod] \u200bsuicidal  ",
+        "",
+    )
+)
+
+
+def _relevance_reference(text):
+    lowered = text.lower()
+    hits = sum(1 for term in _RELEVANCE_TERMS if term in lowered)
+    penalties = sum(1 for pat in _OFFTOPIC_PATTERNS if pat.search(lowered))
+    return max(0.0, min(1.0, (hits - 2 * penalties) / 3.0))
+
+
+def _strip_noise_reference(text):
+    text = unicodedata.normalize("NFKC", text).translate(_ZERO_WIDTH)
+    text = _URL_RE.sub(" ", text)
+    text = _HASHTAG_RE.sub(" ", text)
+    text = _BRACKET_TAG_RE.sub(" ", text)
+    text = _REPEAT_PUNCT_RE.sub(r"\1", text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+class TestGatedFastPaths:
+    @pytest.mark.parametrize("text", GATE_TEXTS)
+    def test_relevance_equals_ungated_count(self, text):
+        for variant in (text, text.upper(), strip_noise(text)):
+            assert relevance_score(variant) == _relevance_reference(variant)
+
+    @pytest.mark.parametrize("text", GATE_TEXTS)
+    def test_strip_noise_equals_unconditional_subs(self, text):
+        for variant in (text, text.upper(), "a " + text + " #x #y"):
+            assert strip_noise(variant) == _strip_noise_reference(variant)
 
 
 def make_post(body, title="title"):

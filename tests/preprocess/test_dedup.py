@@ -1,7 +1,9 @@
 """Tests for exact and near-duplicate removal."""
 
+from collections import defaultdict
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.corpus.models import RedditPost
 from repro.preprocess.dedup import (
     MinHasher,
+    _band_buckets,
     jaccard,
     normalised_fingerprint,
     remove_exact_duplicates,
@@ -131,6 +134,24 @@ class TestNearDedup:
     def test_bands_must_divide_permutations(self):
         with pytest.raises(ValueError):
             remove_near_duplicates([], num_perm=64, bands=10)
+
+    def test_empty_input(self):
+        assert remove_near_duplicates([]) == ([], 0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_band_buckets_in_dict_fill_order(self, seed):
+        # The drop decisions depend on bucket order, so the buckets must
+        # come as a dict keyed by (band, band bytes), filled post by post
+        # and band by band, first sees them.
+        sigs = np.random.default_rng(seed).integers(0, 3, size=(300, 16))
+        sigs = sigs.astype(np.uint64)
+        buckets = defaultdict(list)
+        for idx, sig in enumerate(sigs):
+            for band in range(8):
+                key = (band, sig[band * 2 : (band + 1) * 2].tobytes())
+                buckets[key].append(idx)
+        expected = [members for members in buckets.values() if len(members) > 1]
+        assert _band_buckets(sigs, 8) == expected
 
     def test_cluster_keeps_single_survivor(self):
         base = "the same long message repeated almost verbatim many times " * 3

@@ -5,7 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.preprocess import dedup
 from repro.preprocess.dedup import MinHasher, shingles
+
+TEXTS = [
+    "the quick brown fox jumps over the lazy dog and naps afterwards",
+    "",
+    "one",
+    "two words",
+    "the quick brown fox jumps over the lazy cat and naps afterwards",
+    "!!!",
+    " ".join(f"w{i}" for i in range(40)),
+    "the quick brown fox jumps over the lazy dog and naps afterwards",
+]
+
+
+def _assert_batch_matches_reference(hasher, sets):
+    batch = hasher.signatures(sets)
+    assert batch.dtype == np.uint64
+    assert batch.shape == (len(sets), hasher.num_perm)
+    for row, shingle_set in zip(batch, sets):
+        np.testing.assert_array_equal(
+            row, hasher._signature_reference(shingle_set)
+        )
 
 
 class TestSignatureEquivalence:
@@ -40,3 +62,40 @@ class TestSignatureEquivalence:
         np.testing.assert_array_equal(
             hasher.signature(s), hasher._signature_reference(s)
         )
+
+
+class TestBatchedSignatures:
+    @pytest.mark.parametrize("num_perm", [16, 64])
+    def test_batch_equals_reference(self, num_perm):
+        hasher = MinHasher(num_perm=num_perm)
+        sets = [shingles(t) for t in TEXTS] + [set(), {"only"}, set()]
+        _assert_batch_matches_reference(hasher, sets)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 38])
+    def test_blocks_cross_set_boundaries(self, monkeypatch, block_rows):
+        # Blocks smaller than one set, ending inside a set, and spanning
+        # several sets (with empty sets between them) all give the same
+        # signatures.
+        monkeypatch.setattr(dedup, "_BLOCK_ROWS", block_rows)
+        hasher = MinHasher(num_perm=32)
+        sets = [set()] + [shingles(t) for t in TEXTS] + [set(), set(), {"x"}]
+        _assert_batch_matches_reference(hasher, sets)
+
+    def test_empty_batch_and_all_empty_sets(self):
+        hasher = MinHasher(num_perm=16)
+        assert hasher.signatures([]).shape == (0, 16)
+        _assert_batch_matches_reference(hasher, [set(), set()])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="abcd ", min_size=0, max_size=40), max_size=12),
+        st.integers(1, 20),
+    )
+    def test_property_batch_equals_reference(self, texts, block_rows):
+        hasher = MinHasher(num_perm=16)
+        original = dedup._BLOCK_ROWS
+        dedup._BLOCK_ROWS = block_rows
+        try:
+            _assert_batch_matches_reference(hasher, [shingles(t) for t in texts])
+        finally:
+            dedup._BLOCK_ROWS = original
