@@ -262,17 +262,8 @@ class CorpusGenerator:
                 max(bg_users, bg_posts),
                 cfg.label_mix,
                 cfg.temporal_strength,
+                author_prefix="bg_",
             )
-            background = [
-                UserProfile(
-                    author=f"bg_{p.author}",
-                    base_level=p.base_level,
-                    num_posts=p.num_posts,
-                    night_owl=p.night_owl,
-                    mean_gap_hours=p.mean_gap_hours,
-                )
-                for p in background
-            ]
 
         with perf.span("corpus.emission"):
             sampler = SentenceSampler(

@@ -177,5 +177,8 @@ def crawl(
         for post in reddit.iterate_all(subreddit, page_size=page_size)
         if start <= post.created_utc <= end
     ]
-    kept.sort(key=lambda p: (p.created_utc, p.post_id))
+    # The listing is sorted newest first by (created_utc, post_id), and
+    # post ids are unique (the listing cursor addresses posts by id), so
+    # its reverse is the oldest-first sort by the same key.
+    kept.reverse()
     return kept

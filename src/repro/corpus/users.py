@@ -103,12 +103,14 @@ def sample_profiles(
     target_total: int,
     label_mix: dict[RiskLevel, float],
     temporal_strength: float,
+    author_prefix: str = "",
 ) -> list[UserProfile]:
     """Draw the full population of user profiles.
 
     Severity couples to temporal habits with strength ``temporal_strength``:
     higher-risk users skew toward night posting and shorter gaps between
     posts, which is the signal the paper's temporal features exploit.
+    Authors are named ``f"{author_prefix}user_{i:05d}"``.
     """
     counts = sample_posts_per_user(rng, num_users, target_total)
     mix = np.array([label_mix[level] for level in ALL_LEVELS], dtype=float)
@@ -129,7 +131,7 @@ def sample_profiles(
         )
         profiles.append(
             UserProfile(
-                author=f"user_{i:05d}",
+                author=f"{author_prefix}user_{i:05d}",
                 base_level=ALL_LEVELS[state],
                 num_posts=count,
                 night_owl=night,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import perf
 from repro.core.errors import NotFittedError
 from repro.temporal.features import TemporalStats, temporal_stats
 from repro.text.stats import TextStats, stats_matrix, text_stats
@@ -76,8 +77,9 @@ class FeatureFramework:
         return "\n".join(window.texts)
 
     def fit(self, windows: list[PostWindow]) -> "FeatureFramework":
-        self._tfidf = TfidfVectorizer(max_features=self.max_tfidf_features)
-        self._tfidf.fit(self._window_text(w) for w in windows)
+        with perf.span("models.features"):
+            self._tfidf = TfidfVectorizer(max_features=self.max_tfidf_features)
+            self._tfidf.fit(self._window_text(w) for w in windows)
         self._names = (
             ["time_" + n for n in TemporalStats.feature_names()]
             + _SEQUENCE_NAMES
@@ -89,15 +91,16 @@ class FeatureFramework:
     def transform(self, windows: list[PostWindow]) -> np.ndarray:
         if self._tfidf is None:
             raise NotFittedError("FeatureFramework.transform before fit")
-        time_block = np.vstack(
-            [temporal_stats(list(w.posts)).as_vector() for w in windows]
-        )
-        seq_block = np.vstack([_sequence_features(w) for w in windows])
-        stat_block = stats_matrix([w.latest.text for w in windows])
-        tfidf_block = self._tfidf.transform(
-            self._window_text(w) for w in windows
-        ).toarray()
-        return np.hstack([time_block, seq_block, stat_block, tfidf_block])
+        with perf.span("models.features"):
+            time_block = np.vstack(
+                [temporal_stats(list(w.posts)).as_vector() for w in windows]
+            )
+            seq_block = np.vstack([_sequence_features(w) for w in windows])
+            stat_block = stats_matrix([w.latest.text for w in windows])
+            tfidf_block = self._tfidf.transform(
+                self._window_text(w) for w in windows
+            ).toarray()
+            return np.hstack([time_block, seq_block, stat_block, tfidf_block])
 
     def fit_transform(self, windows: list[PostWindow]) -> np.ndarray:
         return self.fit(windows).transform(windows)

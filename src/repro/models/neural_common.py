@@ -53,9 +53,12 @@ class TextPipeline:
     Sliding windows overlap (consecutive windows share all but one
     post), so ``encode_post`` memoises encodings keyed on the raw text
     in a bounded LRU, ``post_cache``, for training and serving alike.
-    Assigning a vocabulary (``fit`` does) starts a new, empty cache, so
-    ids from an older vocabulary are never served. The cache pickles
-    with the pipeline, so a copy arrives warm.
+    Assigning a vocabulary starts a new, empty cache, so ids from an
+    older vocabulary are never served. ``fit`` tokenizes each distinct
+    text once and leaves their ids in the new cache (the most recent
+    ``POST_CACHE_SIZE`` of them), so the encodes that follow a fit do
+    not tokenize them again. The cache pickles with the pipeline, so a
+    copy arrives warm.
 
     Parameters
     ----------
@@ -90,45 +93,58 @@ class TextPipeline:
     ) -> "TextPipeline":
         """Build the vocabulary from training windows (plus, optionally,
         an unannotated pretraining corpus so MLM covers its tokens)."""
-        documents = [
-            self._tokenizer(post.text)
-            for window in windows
-            for post in window.posts
-        ]
-        if extra_texts:
-            documents.extend(self._tokenizer(text) for text in extra_texts)
-        self.vocab = Vocabulary.build(documents, max_size=self.max_vocab, min_freq=2)
+        with perf.span("text.pipeline_fit"):
+            texts = [post.text for window in windows for post in window.posts]
+            texts.extend(extra_texts or ())
+            tokens = {text: self._tokenizer(text) for text in dict.fromkeys(texts)}
+            perf.count("text.tokenized", len(tokens))
+            # Every occurrence counts towards the token frequencies.
+            self.vocab = Vocabulary.build(
+                (tokens[text] for text in texts),
+                max_size=self.max_vocab,
+                min_freq=2,
+            )
+            for text in list(tokens)[-POST_CACHE_SIZE:]:
+                self.post_cache.put(text, self._ids(tokens[text]))
         return self
+
+    def _ids(self, tokens: list[str]) -> tuple[int, ...]:
+        return (
+            tuple(self.vocab.encode(tokens[: self.max_tokens_per_post]))
+            or (self.vocab.unk_id,)
+        )
 
     def encode_texts(self, texts: list[str]) -> list[list[int]]:
         """Token-id sequences for raw texts (pretraining corpus)."""
         if self.vocab is None:
             raise RuntimeError("TextPipeline.encode_texts before fit")
-        return [self.encode_post(text) for text in texts]
+        with perf.span("text.encode"):
+            return [self.encode_post(text) for text in texts]
 
     def encode_post(self, text: str) -> list[int]:
         """Token ids of one post; a fresh list the caller may mutate."""
         ids = self.post_cache.get(text)
         if ids is None:
-            tokens = self._tokenizer(text)[: self.max_tokens_per_post]
-            ids = tuple(self.vocab.encode(tokens)) or (self.vocab.unk_id,)
+            ids = self._ids(self._tokenizer(text))
+            perf.count("text.tokenized")
             self.post_cache.put(text, ids)
         return list(ids)
 
     def encode(self, windows: list[PostWindow]) -> EncodedWindows:
         if self.vocab is None:
             raise RuntimeError("TextPipeline.encode before fit")
-        post_ids = [
-            [self.encode_post(p.text) for p in w.posts] for w in windows
-        ]
-        time_feats = [
-            self._time_encoder.encode_window(list(w.posts)) for w in windows
-        ]
-        hours = [
-            np.array([p.created_utc.timestamp() / 3600.0 for p in w.posts])
-            for w in windows
-        ]
-        labels = np.array([int(w.label) for w in windows], dtype=np.int64)
+        with perf.span("text.encode"):
+            post_ids = [
+                [self.encode_post(p.text) for p in w.posts] for w in windows
+            ]
+            time_feats = [
+                self._time_encoder.encode_window(list(w.posts)) for w in windows
+            ]
+            hours = [
+                np.array([p.created_utc.timestamp() / 3600.0 for p in w.posts])
+                for w in windows
+            ]
+            labels = np.array([int(w.label) for w in windows], dtype=np.int64)
         return EncodedWindows(post_ids, time_feats, hours, labels)
 
 

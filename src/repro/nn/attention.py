@@ -4,6 +4,7 @@ disentangled attention with relative position encodings."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from repro.core.errors import ShapeError
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import MASKED_SCORE, Tensor, _unbroadcast
 
 
 def split_heads(x: Tensor, num_heads: int) -> Tensor:
@@ -29,11 +30,84 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 def attention_mask_bias(mask: np.ndarray | None) -> np.ndarray | None:
-    """(B, T) keep-mask → (B, 1, 1, T) boolean *pad* mask for a masked
-    :meth:`Tensor.softmax` (``None``, no mask, passes through)."""
+    """(B, T) keep-mask → (B, 1, 1, T) boolean *pad* mask for
+    :func:`attention_weights`; ``None`` when no key is padded (or there is
+    no mask), so the softmax skips the masking pass."""
     if mask is None:
         return None
-    return (np.asarray(mask) == 0)[:, None, None, :]
+    pad = np.asarray(mask) == 0
+    return pad[:, None, None, :] if pad.any() else None
+
+
+def attention_weights(
+    terms: Sequence[Tensor],
+    scale: float,
+    pad: np.ndarray | None = None,
+    shift: Tensor | None = None,
+) -> Tensor:
+    """Attention weights ``softmax((Σ terms) · scale − shift)`` over the
+    last axis, pad keys scored :data:`MASKED_SCORE`, as one autograd node.
+
+    Every step runs in place on one buffer the node allocates: the score
+    sum, the scale, the shift, the mask fill, the row shift, ``exp`` and
+    the normalisation. The row maximum is ``np.fmax.reduce``, which is
+    cheaper than ``max`` and changes no output: a row holding a NaN comes
+    out all NaN either way, and the two can only disagree on the sign of
+    a zero, which ``exp`` ignores. A ``pad`` of ``None`` skips masking,
+    which equals masking nothing. The backward runs the array operations
+    of the op-by-op graph in the same order, so values and gradients are
+    bitwise equal to :func:`attention_weights_reference`.
+    """
+    first, *rest = (term.data for term in terms)
+    if rest:
+        weights = first + rest[0]
+        for other in rest[1:]:
+            weights += other
+        weights *= scale
+    else:
+        weights = first * scale
+    if shift is not None:
+        weights -= shift.data
+    if pad is not None:
+        np.copyto(weights, MASKED_SCORE, where=pad)
+    weights -= np.fmax.reduce(weights, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad * weights
+        inner = g.sum(axis=-1, keepdims=True)
+        np.subtract(grad, inner, out=g)
+        g *= weights
+        if pad is not None:
+            np.copyto(g, 0.0, where=pad)
+        if shift is not None and shift.requires_grad:
+            shift._accumulate(-_unbroadcast(g, shift.shape))
+        if any(term.requires_grad for term in terms):
+            g_scores = g * scale
+            for term in terms:
+                if term.requires_grad:
+                    term._accumulate(_unbroadcast(g_scores, term.shape))
+
+    parents = tuple(terms) if shift is None else (*terms, shift)
+    return Tensor._make(weights, parents, backward)
+
+
+def attention_weights_reference(
+    terms: Sequence[Tensor],
+    scale: float,
+    pad: np.ndarray | None = None,
+    shift: Tensor | None = None,
+) -> Tensor:
+    """Reference twin of :func:`attention_weights`: the op-by-op graph,
+    one node per sum, scale and shift, then :meth:`Tensor.softmax`."""
+    scores = terms[0]
+    for term in terms[1:]:
+        scores = scores + term
+    scores = scores * scale
+    if shift is not None:
+        scores = scores - shift
+    return scores.softmax(axis=-1, mask=pad)
 
 
 class MultiHeadAttention(Module):
@@ -75,9 +149,10 @@ class MultiHeadAttention(Module):
         q = split_heads(self.w_q(query), self.num_heads)
         k = split_heads(self.w_k(key), self.num_heads)
         v = split_heads(self.w_v(value), self.num_heads)
-        scores = (q @ k.swapaxes(-1, -2)) * self._scale
-        weights = self.dropout(scores.softmax(axis=-1, mask=attention_mask_bias(mask)))
-        context = weights @ v
+        weights = attention_weights(
+            [q @ k.swapaxes(-1, -2)], self._scale, attention_mask_bias(mask)
+        )
+        context = self.dropout(weights) @ v
         return self.w_o(merge_heads(context))
 
 
@@ -108,15 +183,16 @@ class TemporalDecayAttention(Module):
         q = split_heads(inner.w_q(x), self.num_heads)
         k = split_heads(inner.w_k(x), self.num_heads)
         v = split_heads(inner.w_v(x), self.num_heads)
-        scores = (q @ k.swapaxes(-1, -2)) * inner._scale
         delta = np.abs(
             timestamps_hours[:, :, None] - timestamps_hours[:, None, :]
         )  # (B, T, T)
         log_delta = Tensor(np.log1p(delta)[:, None, :, :])  # (B, 1, T, T)
         rates = self.decay.reshape(1, self.num_heads, 1, 1)
-        scores = scores - rates * log_delta
-        weights = inner.dropout(scores.softmax(axis=-1, mask=attention_mask_bias(mask)))
-        return inner.w_o(merge_heads(weights @ v))
+        weights = attention_weights(
+            [q @ k.swapaxes(-1, -2)], inner._scale, attention_mask_bias(mask),
+            shift=rates * log_delta,
+        )
+        return inner.w_o(merge_heads(inner.dropout(weights) @ v))
 
 
 def relative_position_index(length: int, max_distance: int) -> np.ndarray:
@@ -267,6 +343,7 @@ class DisentangledSelfAttention(Module):
         p2c_all = kc @ qr.swapaxes(-1, -2)  # (B,h,T,buckets)
         p2c = relative_gather(p2c_all, distance, transpose=True)
 
-        scores = (c2c + c2p + p2c) * self._scale
-        weights = self.dropout(scores.softmax(axis=-1, mask=attention_mask_bias(mask)))
-        return self.w_o(merge_heads(weights @ v))
+        weights = attention_weights(
+            [c2c, c2p, p2c], self._scale, attention_mask_bias(mask)
+        )
+        return self.w_o(merge_heads(self.dropout(weights) @ v))

@@ -43,8 +43,9 @@ Arrayish = "Tensor | np.ndarray | float | int"
 # every array built after it is switched.
 _DTYPE = np.float32
 
-#: Score given to masked entries by :meth:`Tensor.softmax` — finite, so a
-#: fully masked row normalises to uniform instead of NaN.
+#: Score given to masked entries by :meth:`Tensor.softmax` and
+#: :func:`repro.nn.attention.attention_weights` — finite, so a fully
+#: masked row normalises to uniform instead of NaN.
 MASKED_SCORE = -1e9
 
 # glibc ``mallopt`` parameters (malloc.h).
@@ -519,13 +520,27 @@ class Tensor:
         return Tensor._make(self.data * mask, (self,), backward)
 
     def gelu(self) -> "Tensor":
-        """Tanh-approximated GELU (the BERT-family activation)."""
+        """Tanh-approximated GELU (the BERT-family activation).
+
+        The chain runs in place, so only ``x²``, ``t`` and ``½(1+t)`` —
+        what the backward reads — get buffers of their own, and none do
+        when no graph is recorded. Each in-place step multiplies or adds
+        the same two operands as the expression
+        ``x · ½(1 + tanh(c(x + 0.044715·x·x·x)))``, so the values are
+        bitwise equal to it.
+        """
         x = self.data
         c = math.sqrt(2.0 / math.pi)  # a Python float keeps x's dtype
+        keep = is_grad_enabled() and self.requires_grad
         x2 = x * x  # x**3 as products: a pow costs ~4x more
-        t = np.tanh(c * (x + 0.044715 * (x2 * x)))
-        half = 0.5 * (1.0 + t)
-        out_data = x * half
+        t = x2 * x if keep else np.multiply(x2, x, out=x2)
+        t *= 0.044715
+        t += x
+        t *= c
+        np.tanh(t, out=t)
+        half = t + 1.0 if keep else np.add(t, 1.0, out=t)
+        half *= 0.5
+        out_data = half * x if keep else np.multiply(half, x, out=half)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -772,14 +787,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     Bitwise equal to the twelve-node composite it replaces (mean, centre,
     variance, ``(var + eps) ** -0.5``, scale, shift): the same array
     operations in the same order, the input's two gradient terms added to
-    it as two contributions, as the composite's did.
+    it as two contributions, as the composite's did. When no graph is
+    recorded, the scale and shift run in place on the centred buffer.
     """
     n = x.shape[-1]
     centred = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
     var_eps = (centred * centred).sum(axis=-1, keepdims=True) * (1.0 / n) + eps
     inv_std = var_eps**-0.5
-    normed = centred * inv_std
-    out_data = normed * gamma.data
+    keep = is_grad_enabled() and (
+        x.requires_grad or gamma.requires_grad or beta.requires_grad
+    )
+    normed = centred * inv_std if keep else np.multiply(centred, inv_std, out=centred)
+    out_data = normed * gamma.data if keep else np.multiply(normed, gamma.data, out=normed)
     out_data += beta.data
 
     def backward(grad: np.ndarray) -> None:

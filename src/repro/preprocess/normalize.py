@@ -47,7 +47,23 @@ def expand_contractions(text: str) -> str:
 
 def normalise(text: str) -> str:
     """Canonical normal form: NFKC, lower case, expanded contractions,
-    collapsed whitespace."""
+    collapsed whitespace.
+
+    Equal to :func:`normalise_reference`, skipping what cannot change the
+    text: NFKC leaves ASCII as it is, and every contraction contains an
+    apostrophe except ``cannot``. ``str.split`` splits on the same
+    whitespace characters as the regex class of the reference.
+    """
+    if not text.isascii():
+        text = unicodedata.normalize("NFKC", text)
+    text = text.lower()
+    if "'" in text or "cannot" in text:
+        text = expand_contractions(text)
+    return " ".join(text.split())
+
+
+def normalise_reference(text: str) -> str:
+    """Reference twin of :func:`normalise`: every step on every text."""
     text = unicodedata.normalize("NFKC", text)
     text = text.lower()
     text = expand_contractions(text)

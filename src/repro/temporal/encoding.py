@@ -29,6 +29,8 @@ _PERIODIC = (
     ("month", 12.0, lambda t: float(t.month - 1)),
 )
 
+_PERIODS = np.array([period for _, period, _ in _PERIODIC])
+
 #: Gap buckets in hours: <1h, <6h, <1d, <3d, <1w, <1mo, ≥1mo.
 _GAP_EDGES_HOURS = np.array([1.0, 6.0, 24.0, 72.0, 168.0, 720.0])
 
@@ -83,7 +85,43 @@ class TimeEncoder:
         self.dim = 8 + (len(_GAP_EDGES_HOURS) + 2) + 3 + (2 if include_tags else 0)
 
     def encode_window(self, posts: list[RedditPost]) -> np.ndarray:
-        """(len(posts), dim) matrix of temporal features."""
+        """(len(posts), dim) matrix of temporal features.
+
+        Each channel is computed for all posts at once, with the float64
+        operations of the per-post functions above in the same order, so
+        the matrix is bitwise equal to :meth:`encode_window_reference`.
+        """
+        n = len(posts)
+        if not n:
+            return np.zeros((0, self.dim))
+        times = [post.created_utc for post in posts]
+        ts = np.array([when.timestamp() for when in times])
+        out = np.zeros((n, self.dim))
+        cycles = np.array(
+            [[extract(when) for _, _, extract in _PERIODIC] for when in times]
+        )
+        angles = 2.0 * np.pi * cycles / _PERIODS
+        out[:, 0:8:2] = np.sin(angles)
+        out[:, 1:8:2] = np.cos(angles)
+        gaps = np.zeros(n)
+        gaps[1:] = np.diff(ts) / 3600.0
+        gaps = np.where(gaps > 0.0, gaps, 0.0)  # max(0.0, gap)
+        buckets = len(_GAP_EDGES_HOURS) + 1
+        out[np.arange(n), 8 + np.searchsorted(_GAP_EDGES_HOURS, gaps)] = 1.0
+        col = 8 + buckets
+        out[:, col] = np.log1p(gaps)
+        index = np.arange(n)
+        out[:, col + 1] = index / (n - 1) if n > 1 else 1.0
+        out[:, col + 2] = np.log1p(index.astype(np.float64))
+        out[:, col + 3] = np.log1p((ts - ts[0]) / 3600.0)
+        if self.include_tags:
+            out[:, col + 4] = [float(is_night(when)) for when in times]
+            out[:, col + 5] = [float(when.weekday() >= 5) for when in times]
+        return out
+
+    def encode_window_reference(self, posts: list[RedditPost]) -> np.ndarray:
+        """Reference twin of :meth:`encode_window`: one row per post from
+        the per-post encoding functions."""
         if not posts:
             return np.zeros((0, self.dim))
         first_ts = posts[0].created_utc.timestamp()

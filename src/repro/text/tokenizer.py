@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import re
 
-from repro.preprocess.normalize import normalise
+from repro.preprocess.normalize import normalise, normalise_reference
 
 _WORD_RE = re.compile(r"[a-z]+(?:'[a-z]+)?|\d+|[!?.]")
+# The same matches minus the punctuation tokens: those are single
+# characters no other alternative can consume.
+_WORD_ONLY_RE = re.compile(r"[a-z]+(?:'[a-z]+)?|\d+")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
 #: Common English stopwords (used for word-cloud / TF-IDF filtering).
@@ -35,7 +38,13 @@ class WordTokenizer:
         self.keep_punctuation = keep_punctuation
 
     def tokenize(self, text: str) -> list[str]:
-        tokens = _WORD_RE.findall(normalise(text))
+        pattern = _WORD_RE if self.keep_punctuation else _WORD_ONLY_RE
+        return pattern.findall(normalise(text))
+
+    def tokenize_reference(self, text: str) -> list[str]:
+        """Reference twin of :meth:`tokenize`: the reference normal form,
+        then punctuation filtered out of the full token stream."""
+        tokens = _WORD_RE.findall(normalise_reference(text))
         if not self.keep_punctuation:
             tokens = [t for t in tokens if t not in {"!", "?", "."}]
         return tokens

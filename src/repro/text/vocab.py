@@ -103,7 +103,8 @@ class Vocabulary:
         self, tokens: list[str], add_special: bool = False
     ) -> list[int]:
         """Token ids, optionally wrapped in ``<s> ... </s>``."""
-        ids = [self.id_of(t) for t in tokens]
+        lookup, unk = self._token_to_id.get, self.unk_id
+        ids = [lookup(t, unk) for t in tokens]
         if add_special:
             return [self.bos_id, *ids, self.eos_id]
         return ids

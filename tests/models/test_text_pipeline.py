@@ -1,9 +1,14 @@
-"""TextPipeline's per-post memo: bounded, refit-safe, copy-safe."""
+"""TextPipeline's per-post memo: bounded, refit-safe, copy-safe, and
+filled by ``fit`` so no fitted text is tokenized twice."""
 
 import pickle
+from collections import Counter
 
 import pytest
 
+from repro import perf
+from repro.core.lru import LRUCache
+from repro.models import neural_common
 from repro.models.neural_common import POST_CACHE_SIZE, TextPipeline
 from repro.temporal.windows import PostWindow
 
@@ -28,11 +33,12 @@ def _sliding(windows):
     ]
 
 
-def test_cache_is_bounded_and_empty_after_fit(two_sets):
+def test_cache_is_bounded_and_holds_the_fit_texts(two_sets):
     pipeline = TextPipeline(max_vocab=200).fit(two_sets[0])
     stats = pipeline.post_cache.stats()
     assert stats["maxsize"] == POST_CACHE_SIZE
-    assert stats["size"] == stats["hits"] == stats["misses"] == 0
+    assert stats["size"] == len(set(_texts(two_sets[0])))
+    assert stats["hits"] == stats["misses"] == 0
 
 
 def test_refit_serves_the_new_vocabularys_ids(two_sets):
@@ -81,16 +87,80 @@ def test_overlapping_windows_hit_the_cache(two_sets):
     assert distinct < len(texts)
     pipeline = TextPipeline(max_vocab=200).fit(two_sets[0])
 
+    # fit already tokenized every one of these texts.
     first = pipeline.encode(windows)
     stats = pipeline.post_cache.stats()
-    assert stats["misses"] == stats["size"] == distinct
-    assert stats["hits"] == len(texts) - distinct
+    assert stats["misses"] == 0
+    assert stats["size"] == distinct
+    assert stats["hits"] == len(texts)
 
     second = pipeline.encode(windows)
     again = pipeline.post_cache.stats()
-    assert again["misses"] == distinct
+    assert again["misses"] == 0
     assert again["hits"] == stats["hits"] + len(texts)
     assert second.post_token_ids == first.post_token_ids
+    fresh = TextPipeline(max_vocab=200).fit(two_sets[0])
+    fresh.post_cache.clear()
+    assert fresh.encode(windows).post_token_ids == first.post_token_ids
+
+
+class _CountingTokenizer:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def __call__(self, text):
+        self.calls[text] += 1
+        return self.inner(text)
+
+
+def test_fit_tokenizes_each_distinct_text_once(two_sets):
+    windows = two_sets[0]
+    extra = _texts(two_sets[1]) + _texts(windows)[:5]
+    pipeline = TextPipeline(max_vocab=200)
+    pipeline._tokenizer = counting = _CountingTokenizer(pipeline._tokenizer)
+    perf.reset()
+    pipeline.fit(windows, extra_texts=extra)
+    pipeline.encode_texts(extra)
+    pipeline.encode(windows)
+    assert set(counting.calls.values()) == {1}
+    assert set(counting.calls) == set(_texts(windows)) | set(extra)
+    tokenized = sum(
+        stat.get("count", 0)
+        for path, stat in perf.report().items()
+        if path.endswith("text.tokenized")
+    )
+    perf.reset()
+    assert tokenized == len(counting.calls)
+
+
+def test_beyond_the_cache_no_text_is_tokenized_more_than_before(
+    two_sets, monkeypatch
+):
+    """With more distinct texts than the cache holds, each text is
+    tokenized at most as often as by the pipeline that tokenized every
+    occurrence in fit and then encoded from an empty cache."""
+    monkeypatch.setattr(neural_common, "POST_CACHE_SIZE", 7)
+    windows = two_sets[0]
+    extra = _texts(two_sets[1])
+    occurrences = Counter(_texts(windows) + extra)
+    assert len(occurrences) > 7
+    pipeline = TextPipeline(max_vocab=200)
+    pipeline._tokenizer = counting = _CountingTokenizer(pipeline._tokenizer)
+    pipeline.fit(windows, extra_texts=extra)
+    assert len(pipeline.post_cache) == 7
+    sequence = extra + _texts(windows) + _texts(windows)
+    pipeline.encode_texts(extra)
+    pipeline.encode(windows)
+    pipeline.encode(windows)
+
+    old_cache, old_misses = LRUCache(7), Counter()
+    for text in sequence:
+        if old_cache.get(text) is None:
+            old_misses[text] += 1
+            old_cache.put(text, ())
+    for text, calls in counting.calls.items():
+        assert calls <= occurrences[text] + old_misses[text], text
 
 
 def test_pickled_pipeline_arrives_with_a_warm_cache(two_sets):

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.errors import GradientError, ShapeError
 from repro.nn.attention import relative_gather, relative_position_index
 from repro.nn.optim import clip_grad_norm
-from repro.nn.tensor import MASKED_SCORE, Tensor, layer_norm, linear
+from repro.nn.tensor import MASKED_SCORE, Tensor, layer_norm, linear, no_grad
 
 
 def numerical_grad(fn, x, eps=1e-6):
@@ -78,6 +78,40 @@ class TestElementwiseGrads:
 
     def test_neg(self):
         check_grad(lambda x: (-x).sum(), RNG.normal(size=(3,)))
+
+
+class TestGeluInPlace:
+    """GELU's in-place chain against the expression it replaced, in
+    float32, with and without a recorded graph."""
+
+    @staticmethod
+    def expression(x):
+        c = np.sqrt(2.0 / np.pi).item()
+        t = np.tanh(c * (x + 0.044715 * ((x * x) * x)))
+        return x * (0.5 * (1.0 + t)), t
+
+    def test_values_and_grad_bitwise(self):
+        data = (RNG.normal(size=(4, 33)) * 3).astype(np.float32)
+        want, t = self.expression(data)
+        x = Tensor(data, requires_grad=True)
+        out = x.gelu()
+        upstream = RNG.normal(size=data.shape).astype(np.float32)
+        out.backward(upstream)
+        with no_grad():
+            inference = Tensor(data).gelu().data
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(inference, want)
+        c = np.sqrt(2.0 / np.pi).item()
+        dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * (data * data))
+        grad = upstream * (0.5 * (1.0 + t) + 0.5 * data * dt)
+        assert np.array_equal(x.grad, grad)
+
+    def test_input_untouched(self):
+        data = RNG.normal(size=(5,)).astype(np.float32)
+        x = Tensor(data.copy())
+        with no_grad():
+            x.gelu()
+        assert np.array_equal(x.data, data)
 
 
 class TestBroadcastingGrads:
@@ -364,6 +398,16 @@ class TestLayerNorm:
             results.append((out.data, x.grad, gamma.grad, beta.grad))
         for fused, composite in zip(*results):
             assert np.array_equal(fused, composite)
+
+    def test_no_grad_runs_in_place_with_equal_values(self):
+        data = RNG.normal(size=(3, 5, 8))
+        gamma, beta = Tensor(RNG.normal(size=8)), Tensor(RNG.normal(size=8))
+        x = Tensor(data.copy())
+        recorded = layer_norm(Tensor(data, requires_grad=True), gamma, beta, 1e-5)
+        with no_grad():
+            inference = layer_norm(x, gamma, beta, 1e-5)
+        assert np.array_equal(inference.data, recorded.data)
+        assert np.array_equal(x.data, data)
 
     def test_grads(self):
         data = RNG.normal(size=(2, 3, 6))

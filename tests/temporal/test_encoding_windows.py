@@ -100,6 +100,25 @@ class TestTimeEncoder:
     def test_empty_window(self):
         assert TimeEncoder().encode_window([]).shape[0] == 0
 
+    @pytest.mark.parametrize("include_tags", [True, False])
+    def test_bitwise_equal_to_reference(self, include_tags, small_dataset):
+        encoder = TimeEncoder(include_tags=include_tags)
+        windows = [[make_post(T0, "p0")]]
+        # equal timestamps, out-of-order posts (negative gaps), month and
+        # year boundaries, night and weekend hours
+        stamps = [T0, T0, T0 - timedelta(hours=3), T0 + timedelta(days=40, minutes=7),
+                  datetime(2020, 12, 31, 23, 59, tzinfo=timezone.utc),
+                  datetime(2021, 1, 2, 3, 30, tzinfo=timezone.utc)]
+        windows.append([make_post(t, f"p{i}") for i, t in enumerate(stamps)])
+        for history in small_dataset.histories().values():
+            posts = list(history.posts)
+            windows += [posts[max(0, i - 4): i + 1] for i in range(len(posts))]
+        for posts in windows:
+            with np.errstate(invalid="ignore"):  # log1p of a negative span
+                fast = encoder.encode_window(posts)
+                reference = encoder.encode_window_reference(posts)
+            assert np.array_equal(fast, reference, equal_nan=True)
+
     def test_first_gap_is_zero(self):
         encoder = TimeEncoder()
         posts = [make_post(T0, "p0"), make_post(T0 + timedelta(hours=9), "p1")]
