@@ -6,6 +6,7 @@ import abc
 
 import numpy as np
 
+from repro import perf
 from repro.core.errors import ModelError, NotFittedError
 from repro.core.schema import NUM_CLASSES
 from repro.temporal.windows import PostWindow
@@ -46,7 +47,8 @@ class RiskModel(abc.ABC):
     ) -> "RiskModel":
         if not train:
             raise ModelError(f"{self.name}: empty training set")
-        self._fit(train, validation or [])
+        with perf.span(f"models.fit.{self.name.lower()}"):
+            self._fit(train, validation or [])
         self._fitted = True
         return self
 

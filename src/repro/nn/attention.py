@@ -39,8 +39,32 @@ def attention_mask_bias(mask: np.ndarray | None) -> np.ndarray | None:
     return pad[:, None, None, :] if pad.any() else None
 
 
+#: A relative-position term of :func:`attention_weights`:
+#: ``(scores (…, T, buckets), max_distance, transpose)``, whose score at
+#: ``[…, i, j]`` is :func:`relative_gather` of ``scores``.
+RelativeTerm = tuple[Tensor, int, bool]
+
+
+def _gathered(term: RelativeTerm) -> np.ndarray:
+    """A relative term's (…, T, T) scores in a fresh array.
+    ``_relative_keys`` are in range by construction, so ``mode="wrap"``
+    never wraps; it skips the bounds check, and ``np.take`` writes ``out``
+    without an intermediate buffer."""
+    scores, max_distance, transpose = term
+    *lead_shape, length, buckets = scores.shape
+    out = np.empty((*lead_shape, length, length), scores.data.dtype)
+    np.take(
+        scores.data.reshape(-1, length * buckets),
+        _relative_keys(length, max_distance, transpose),
+        axis=1,
+        out=out.reshape(-1, length * length),
+        mode="wrap",
+    )
+    return out
+
+
 def attention_weights(
-    terms: Sequence[Tensor],
+    terms: Sequence[Tensor | RelativeTerm],
     scale: float,
     pad: np.ndarray | None = None,
     shift: Tensor | None = None,
@@ -48,24 +72,36 @@ def attention_weights(
     """Attention weights ``softmax((Σ terms) · scale − shift)`` over the
     last axis, pad keys scored :data:`MASKED_SCORE`, as one autograd node.
 
-    Every step runs in place on one buffer the node allocates: the score
-    sum, the scale, the shift, the mask fill, the row shift, ``exp`` and
-    the normalisation. The row maximum is ``np.fmax.reduce``, which is
-    cheaper than ``max`` and changes no output: a row holding a NaN comes
-    out all NaN either way, and the two can only disagree on the sign of
-    a zero, which ``exp`` ignores. A ``pad`` of ``None`` skips masking,
-    which equals masking nothing. The backward runs the array operations
-    of the op-by-op graph in the same order, so values and gradients are
-    bitwise equal to :func:`attention_weights_reference`.
+    A term is a score tensor or a :data:`RelativeTerm`, which the node
+    gathers itself: DeBERTa's c2p and p2c never exist as tensors. Every
+    step runs in place on one buffer the node allocates: the score sum,
+    the scale, the shift, the mask fill, the row shift, ``exp`` and the
+    normalisation. The sum keeps the order ``((t0 + t1) + t2) + …``; when
+    ``t1`` is relative and ``t0`` is not, ``t1`` is gathered into the
+    buffer and ``t0`` added to it, and a two-operand addition is
+    commutative. A relative term after that is gathered into one
+    short-lived array and added. The row maximum is ``np.fmax.reduce``,
+    which is cheaper than ``max`` and changes no output: a row holding a
+    NaN comes out all NaN either way, and the two can only disagree on
+    the sign of a zero, which ``exp`` ignores. A ``pad`` of ``None``
+    skips masking, which equals masking nothing. The backward runs the
+    array operations of the op-by-op graph in the same order, so values
+    and gradients are bitwise equal to
+    :func:`attention_weights_reference`.
     """
-    first, *rest = (term.data for term in terms)
-    if rest:
-        weights = first + rest[0]
-        for other in rest[1:]:
-            weights += other
-        weights *= scale
+    first, *rest = terms
+    if isinstance(first, Tensor) and rest and not isinstance(rest[0], Tensor):
+        first, rest[0] = rest[0], first  # t0 + t1 == t1 + t0
+    if isinstance(first, Tensor) and not rest:
+        weights = first.data * scale
     else:
-        weights = first * scale
+        if isinstance(first, Tensor):
+            weights = first.data + rest.pop(0).data
+        else:
+            weights = _gathered(first)
+        for term in rest:
+            weights += term.data if isinstance(term, Tensor) else _gathered(term)
+        weights *= scale
     if shift is not None:
         weights -= shift.data
     if pad is not None:
@@ -73,6 +109,8 @@ def attention_weights(
     weights -= np.fmax.reduce(weights, axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
+
+    sources = tuple(t if isinstance(t, Tensor) else t[0] for t in terms)
 
     def backward(grad: np.ndarray) -> None:
         g = grad * weights
@@ -83,24 +121,30 @@ def attention_weights(
             np.copyto(g, 0.0, where=pad)
         if shift is not None and shift.requires_grad:
             shift._accumulate(-_unbroadcast(g, shift.shape))
-        if any(term.requires_grad for term in terms):
+        if any(source.requires_grad for source in sources):
             g_scores = g * scale
-            for term in terms:
-                if term.requires_grad:
-                    term._accumulate(_unbroadcast(g_scores, term.shape))
+            for term, source in zip(terms, sources):
+                if not source.requires_grad:
+                    continue
+                if isinstance(term, Tensor):
+                    source._accumulate(_unbroadcast(g_scores, source.shape))
+                else:
+                    source._accumulate(relative_scatter(g_scores, *term[1:]))
 
-    parents = tuple(terms) if shift is None else (*terms, shift)
+    parents = sources if shift is None else (*sources, shift)
     return Tensor._make(weights, parents, backward)
 
 
 def attention_weights_reference(
-    terms: Sequence[Tensor],
+    terms: Sequence[Tensor | RelativeTerm],
     scale: float,
     pad: np.ndarray | None = None,
     shift: Tensor | None = None,
 ) -> Tensor:
     """Reference twin of :func:`attention_weights`: the op-by-op graph,
-    one node per sum, scale and shift, then :meth:`Tensor.softmax`."""
+    one :func:`relative_gather` node per relative term, one node per sum,
+    scale and shift, then :meth:`Tensor.softmax`."""
+    terms = [t if isinstance(t, Tensor) else relative_gather(*t) for t in terms]
     scores = terms[0]
     for term in terms[1:]:
         scores = scores + term
@@ -267,6 +311,8 @@ def relative_gather(
     bucket matrix of :func:`relative_position_index`; with ``transpose``,
     ``out[…, i, j] = scores[…, j, idx[j, i]]`` (the gather followed by a
     swap of the last two axes). The backward is :func:`relative_scatter`.
+    It is the building block of :func:`attention_weights_reference`;
+    :func:`attention_weights` gathers its relative terms itself.
     """
     *lead_shape, length, buckets = scores.shape
     local = _relative_keys(length, max_distance, transpose)
@@ -337,13 +383,13 @@ class DisentangledSelfAttention(Module):
         c2c = qc @ kc.swapaxes(-1, -2)  # (B,h,T,T)
         # content→position: Qc_i · Kr_{δ(i,j)}
         c2p_all = qc @ kr.swapaxes(-1, -2)  # (B,h,T,buckets)
-        c2p = relative_gather(c2p_all, distance)  # (B,h,T,T)
         # position→content: Kc_j · Qr_{δ(j,i)} with δ(j,i) = clip(i−j)+R,
         # i.e. bucket idx[j, i]: the transposed gather, indexed [b,h,i,j].
         p2c_all = kc @ qr.swapaxes(-1, -2)  # (B,h,T,buckets)
-        p2c = relative_gather(p2c_all, distance, transpose=True)
 
         weights = attention_weights(
-            [c2c, c2p, p2c], self._scale, attention_mask_bias(mask)
+            [c2c, (c2p_all, distance, False), (p2c_all, distance, True)],
+            self._scale,
+            attention_mask_bias(mask),
         )
         return self.w_o(merge_heads(self.dropout(weights) @ v))

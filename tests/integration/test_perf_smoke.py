@@ -28,8 +28,13 @@ from repro.models.deberta import DebertaRiskNetwork
 from repro.models.neural_common import train_classifier
 from repro.models.plm import PLMConfig
 from repro.models.registry import create_model
-from repro.nn import cross_entropy
-from repro.nn.attention import relative_scatter, relative_scatter_reference
+from repro.nn import Tensor, cross_entropy, no_grad
+from repro.nn.attention import (
+    attention_weights,
+    attention_weights_reference,
+    relative_scatter,
+    relative_scatter_reference,
+)
 from repro.preprocess.dedup import MinHasher, shingles
 
 pytestmark = pytest.mark.perf_smoke
@@ -85,6 +90,28 @@ class TestKernelSmoke:
             relative_scatter_reference(grad, 16, transpose),
         )
         assert fast < slow  # usually ~3-5x below; margin for CI noise
+
+    def test_disentangled_weights_beat_reference(self):
+        # DeBERTa's attention weights in a serve batch: 32 windows, 4
+        # heads, 96 tokens, 33 relative buckets, float32, no graph. The
+        # node gathers c2p and p2c itself; the twin builds them as
+        # tensors and sums op by op.
+        rng = np.random.default_rng(0)
+        c2c = Tensor(rng.normal(size=(32, 4, 96, 96)))
+        c2p = Tensor(rng.normal(size=(32, 4, 96, 33)))
+        p2c = Tensor(rng.normal(size=(32, 4, 96, 33)))
+        terms = [c2c, (c2p, 16, False), (p2c, 16, True)]
+
+        def weights(fn):
+            with no_grad():
+                return fn(terms, 0.14, None).data
+
+        fast = _clock(lambda: weights(attention_weights))
+        slow = _clock(lambda: weights(attention_weights_reference))
+        assert np.array_equal(
+            weights(attention_weights), weights(attention_weights_reference)
+        )
+        assert fast < slow  # usually ~1.5-2x below; margin for CI noise
 
 
 class TestFloat32Smoke:

@@ -7,6 +7,7 @@ verify the contracts — shapes, determinism, error handling — not accuracy.
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.boosting import GBMParams
 from repro.core.errors import ModelError, NotFittedError
 from repro.models import (
@@ -93,6 +94,18 @@ class TestBaselineContract:
         model = tiny_model(name)
         model.fit(train, val)
         assert model.predict([]).shape == (0,)
+
+    def test_fit_is_timed_under_its_model_span(self, name, tiny_splits):
+        # The benchmark tracer's name: a report can say which model spent
+        # the training time (nn.epoch, gbm.fit) nested under it.
+        train, val, _ = tiny_splits
+        perf.reset()
+        tiny_model(name).fit(train, val)
+        spans = perf.snapshot()["spans"]
+        perf.reset()
+        assert spans[f"models.fit.{name}"]["calls"] == 1
+        inner = "gbm.fit" if name == "xgboost" else "nn.epoch"
+        assert f"models.fit.{name}/{inner}" in spans, sorted(spans)
 
 
 class TestXGBoostSpecifics:
