@@ -281,6 +281,7 @@ class CorpusGenerator:
             dirt_rng = self._registry.get("dirt")
             self._emit_dirt(reddit, dirt_rng, sampler, clean)
             self._pollute_bodies(dirt_rng, sampler, reddit)
+            sampler.close()
 
         with perf.span("corpus.crawl"):
             raw = crawl(reddit, SUBREDDIT, cfg.start, cfg.end)

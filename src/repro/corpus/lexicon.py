@@ -19,6 +19,7 @@ import string
 
 import numpy as np
 
+from repro.core.rng import ScalarDraws
 from repro.core.schema import ALL_LEVELS, RiskLevel
 
 #: Risk phrases shared by ALL four hard banks — the phrase itself carries
@@ -414,15 +415,19 @@ _NEIGHBOURS: tuple[tuple[RiskLevel, ...], ...] = tuple(
 class SentenceSampler:
     """Samples filled-in sentences for a given risk level.
 
-    Every draw comes from ``rng`` in a data-dependent interleave of
-    ``random()`` and ``integers(k)`` calls, so the draws stay one call
-    each; what is cut is the work around them (pre-split templates,
-    per-level tuples instead of enum lookups, bound RNG methods).
+    Every draw is a ``random()`` or ``integers(k)`` of ``rng``, taken in
+    a data-dependent interleave. They go through a
+    :class:`~repro.core.rng.ScalarDraws` decoder, which returns the
+    values numpy's scalar calls would, bit for bit, from raw words drawn
+    in blocks. Call :meth:`close` when done: it leaves ``rng`` exactly
+    where the scalar calls would have, and the sampler draws nothing
+    more. The work around the draws is cut too (pre-split templates,
+    per-level tuples instead of enum lookups, bound methods).
 
     Parameters
     ----------
     rng:
-        Numpy random generator (stream-owned by the caller).
+        Numpy PCG64 generator, owned by the sampler until :meth:`close`.
     lexical_strength:
         Probability that any given sentence is drawn from the class's
         signal bank rather than the neutral bank.
@@ -435,11 +440,16 @@ class SentenceSampler:
         hard_fraction: float = 0.5,
         ambiguity_noise: float = 0.0,
     ) -> None:
-        self._random = rng.random
-        self._integers = rng.integers
+        self._draws = ScalarDraws(rng)
+        self._random = self._draws.random
+        self._integers = self._draws.integers
         self._lexical_strength = float(lexical_strength)
         self._hard_fraction = float(hard_fraction)
         self._ambiguity_noise = float(ambiguity_noise)
+
+    def close(self) -> None:
+        """Write the generator's state back; see :meth:`ScalarDraws.close`."""
+        self._draws.close()
 
     def _noisy_level(self, level: RiskLevel) -> RiskLevel:
         """With prob ``ambiguity_noise``, drift to an adjacent severity level.

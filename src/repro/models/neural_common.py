@@ -398,6 +398,12 @@ def predict_logits(
 ) -> np.ndarray:
     """(N, C) eval-mode logits for every sample in ``encoded``.
 
+    The module is left in eval mode: a serving engine may run this in
+    two threads on one network at once, and switching back to training
+    mode would let dropout fire in the other thread's forward.
+    :func:`train_classifier` switches to training mode itself at the
+    start of every epoch.
+
     Runs under :func:`repro.nn.no_grad` (no autograd graph) and, by
     default, with length-bucketed batches: samples are grouped by
     flattened token length so short windows stop paying for the longest
@@ -425,7 +431,6 @@ def predict_logits(
                     out = np.empty((n, logits.shape[-1]), dtype=logits.dtype)
                 out[idx] = logits
         perf.count("nn.predict.batches", len(batch_indices))
-    module.train()
     if out is None:
         return np.zeros((0, 1))
     return out

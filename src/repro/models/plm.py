@@ -132,6 +132,7 @@ def pretrain_mlm(
     if not token_sequences:
         raise ValueError("no pretraining sequences supplied")
     with perf.span("models.mlm"):
+        encoder.train()
         registry = SeedSequenceRegistry(seed)
         rng = registry.get("mlm")
         head = MLMHead(encoder.dim, len(vocab.tokens()), registry.get("mlm-head"))

@@ -111,6 +111,31 @@ class TestGenerate:
             p.body for p in b.raw_posts[:50]
         ]
 
+    def test_text_stream_equals_numpy_scalar_calls(self, monkeypatch):
+        """The decoded sampler draws give the corpus and the end state of
+        the ``text`` stream that numpy's scalar calls give."""
+
+        class NumpyDraws:
+            def __init__(self, generator):
+                self.random, self.integers = generator.random, generator.integers
+
+            def close(self):
+                pass
+
+        def generate():
+            generator = CorpusGenerator(CorpusConfig().scaled(0.02))
+            corpus = generator.generate()
+            return corpus.raw_posts, generator._registry.get("text").bit_generator.state
+
+        posts, state = generate()
+        monkeypatch.setattr("repro.corpus.lexicon.ScalarDraws", NumpyDraws)
+        numpy_posts, numpy_state = generate()
+        assert posts == numpy_posts
+        assert state["state"] == numpy_state["state"]
+        assert state["has_uint32"] == numpy_state["has_uint32"]
+        if numpy_state["has_uint32"]:
+            assert state["uinteger"] == numpy_state["uinteger"]
+
     def test_seed_changes_output(self):
         a = generate_corpus(scale=0.02)
         b = generate_corpus(scale=0.02, seed=99)

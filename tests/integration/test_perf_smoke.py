@@ -23,7 +23,7 @@ from repro.boosting.tree import RegressionTree, TreeParams
 from repro.core.cache import BuildCache, build_dataset_cached, fingerprint
 from repro.core.config import AnnotationConfig, CorpusConfig
 from repro.core.pipeline import build_dataset
-from repro.core.rng import SeedSequenceRegistry
+from repro.core.rng import ScalarDraws, SeedSequenceRegistry
 from repro.models.deberta import DebertaRiskNetwork
 from repro.models.neural_common import train_classifier
 from repro.models.plm import PLMConfig
@@ -112,6 +112,31 @@ class TestKernelSmoke:
             weights(attention_weights), weights(attention_weights_reference)
         )
         assert fast < slow  # usually ~1.5-2x below; margin for CI noise
+
+    def test_scalar_draws_beat_numpy(self):
+        # The sentence sampler's mix: 100k scalar draws, two bounded
+        # integers per uniform, decoded against numpy's scalar calls.
+        calls = [
+            None if c == 0 else int(k)
+            for c, k in zip(
+                np.random.default_rng(1).integers(3, size=100_000).tolist(),
+                np.random.default_rng(2).integers(1, 40, size=100_000).tolist(),
+            )
+        ]
+
+        def draw(source):
+            random, integers = source.random, source.integers
+            return [random() if k is None else integers(k) for k in calls]
+
+        def decoded():
+            return draw(ScalarDraws(np.random.default_rng(3)))
+
+        def numpy_scalar():
+            return draw(np.random.default_rng(3))
+
+        assert decoded() == numpy_scalar()
+        fast, slow = _clock(decoded), _clock(numpy_scalar)
+        assert fast < slow  # usually ~3-4x below; margin for CI noise
 
 
 class TestFloat32Smoke:

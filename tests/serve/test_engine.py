@@ -227,6 +227,51 @@ def test_tokenization_cache_is_the_pipelines(small_splits, small_dataset):
     assert model.pipeline.post_cache.stats()["hits"] > second["hits"]
 
 
+def test_predict_many_racing_submit_stays_in_eval_mode(small_splits, small_dataset):
+    """Bulk passes in the caller's thread overlap the worker's batches
+    on one network; neither may switch it back to training mode, where
+    dropout would fire during inference."""
+    from repro.models.deberta import DebertaRiskModel
+    from repro.models.neural_common import TrainerConfig
+    from repro.models.plm import PLMConfig
+
+    model = DebertaRiskModel(
+        config=PLMConfig(dim=16, num_layers=1, num_heads=2, ffn_hidden=32,
+                         max_len=64),
+        trainer=TrainerConfig(epochs=1, batch_size=8, patience=2, seed=0),
+        pretrain_texts=small_dataset.pretrain_texts[:200],
+        pretrain_steps=1,
+        seed=0,
+    )
+    model.fit(small_splits.train, small_splits.validation)
+    windows = small_splits.train + small_splits.validation + small_splits.test
+    expected = model.predict_proba(windows)
+    stop = threading.Event()
+    errors = []
+    config = EngineConfig(max_batch_size=len(windows), max_wait_s=0.0)
+    with InferenceEngine(model, config) as eng:
+
+        def submit_until_stopped():
+            try:
+                while not stop.is_set():
+                    for future in [eng.submit(w) for w in windows[:4]]:
+                        future.result(timeout=10.0)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        submitter = threading.Thread(target=submit_until_stopped)
+        submitter.start()
+        try:
+            passes = [eng.predict_many(windows) for _ in range(15)]
+        finally:
+            stop.set()
+            submitter.join(timeout=30.0)
+    assert not submitter.is_alive()
+    assert not errors, errors
+    for probs in passes:
+        np.testing.assert_array_equal(probs, expected)
+
+
 @pytest.mark.perf_smoke
 def test_engine_throughput_beats_per_window(fitted_logreg, small_splits):
     """Batched ``predict_many`` beats one ``predict_proba`` per window
