@@ -48,10 +48,6 @@ class AnnotationTask:
     final_label: RiskLevel | None = None
     resolution: str | None = None  # "single" | "vote" | "joint-decision" | "review"
 
-    @property
-    def num_submissions(self) -> int:
-        return len(self.submissions)
-
 
 class LabelingProject:
     """A project: ordered task queue plus submission bookkeeping."""

@@ -246,7 +246,3 @@ class GradientBoostingClassifier:
                     gains[feature] += gain
         total = gains.sum()
         return gains / total if total > 0 else gains
-
-    @property
-    def n_trees_(self) -> int:
-        return sum(len(r.trees) for r in self._rounds)

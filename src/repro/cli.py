@@ -4,6 +4,7 @@ Commands
 --------
 build       Build a dataset and write it to JSONL.
 stats       Print Table-I-style statistics of a JSONL dataset.
+datacard    Render a Datasheets-for-Datasets document for a JSONL dataset.
 evaluate    Train a baseline on a freshly built dataset and report metrics.
 bench       Run one paper experiment (table1..table4, fig1, fig23, fig4,
             kappa, ablations, stability, evolution) at --scale/--seed.
@@ -11,9 +12,6 @@ bench       Run one paper experiment (table1..table4, fig1, fig23, fig4,
 metrics     Exercise the serving stack, then export telemetry as
             Prometheus exposition text or a JSON snapshot (or render a
             previously saved snapshot with --input).
-lint        Run the repo's AST static-analysis rules (REPRO-LOCK,
-            REPRO-RNG, REPRO-TWIN, REPRO-CLOCK, REPRO-METRIC,
-            REPRO-EXCEPT) over src/ or the given paths.
 """
 
 from __future__ import annotations
@@ -170,12 +168,6 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from repro.analysis.cli import run_from_args
-
-    return run_from_args(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="RSD-15K reproduction toolkit"
@@ -235,16 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
              "running the serve exercise",
     )
     p_metrics.set_defaults(func=cmd_metrics, scale=0.05)
-
-    from repro.analysis.cli import add_lint_arguments
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="run the repro static-analysis rules "
-             "(see docs/static_analysis.md)",
-    )
-    add_lint_arguments(p_lint)
-    p_lint.set_defaults(func=cmd_lint)
     return parser
 
 

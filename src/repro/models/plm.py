@@ -61,10 +61,6 @@ class MLMResult:
 
     losses: list[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
 
 class MLMHead(Module):
     """Projection from encoder states to vocabulary logits."""

@@ -14,7 +14,9 @@ accepts):
   → histogram family ``repro_<path>``
 
 Paths are sanitised ``[^a-zA-Z0-9_] → _`` and prefixed ``repro_``, so
-``serve.batch`` becomes ``repro_serve_batch_seconds``. No labels are
+``serve.batch`` becomes ``repro_serve_batch_seconds``; the raw path
+goes into ``# HELP`` with backslash and newline escaped as the text
+format requires, so every path renders valid exposition. No labels are
 emitted — one flat time series per path keeps the scrape config
 trivial.
 
@@ -54,6 +56,11 @@ def _name(path: str, suffix: str = "") -> str:
     return f"{_PREFIX}_{_SAN.sub('_', path)}{suffix}"
 
 
+def _help(name: str, text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace("\n", "\\n")
+    return f"# HELP {name} {escaped}"
+
+
 def _fmt(value: float) -> str:
     if value == math.inf:
         return "+Inf"
@@ -70,7 +77,7 @@ def _histogram_lines(
     name: str, path: str, buckets: list, sum_s: float, count: int
 ) -> list[str]:
     lines = [
-        f"# HELP {name} Latency histogram of {path}",
+        _help(name, f"Latency histogram of {path}"),
         f"# TYPE {name} histogram",
     ]
     for bound, cumulative in buckets:
@@ -85,12 +92,12 @@ def render_prometheus(snapshot: dict) -> str:
     lines: list[str] = []
     for path, value in sorted(snapshot.get("counters", {}).items()):
         name = _name(path, "_total")
-        lines.append(f"# HELP {name} Counter {path}")
+        lines.append(_help(name, f"Counter {path}"))
         lines.append(f"# TYPE {name} counter")
         lines.append(f"{name} {value}")
     for path, value in sorted(snapshot.get("gauges", {}).items()):
         name = _name(path)
-        lines.append(f"# HELP {name} Gauge {path}")
+        lines.append(_help(name, f"Gauge {path}"))
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {_fmt(value)}")
     for path, entry in sorted(snapshot.get("spans", {}).items()):
@@ -105,7 +112,7 @@ def render_prometheus(snapshot: dict) -> str:
                 )
             )
         else:
-            lines.append(f"# HELP {name}_total Total seconds in span {path}")
+            lines.append(_help(f"{name}_total", f"Total seconds in span {path}"))
             lines.append(f"# TYPE {name}_total counter")
             lines.append(f"{name}_total {_fmt(entry['total_s'])}")
     for path, entry in sorted(snapshot.get("observations", {}).items()):
@@ -157,7 +164,9 @@ def validate_prometheus(text: str) -> dict:
     """
     types: dict[str, str] = {}
     samples: dict[str, list[tuple[dict, float]]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # The format separates lines by "\n" only; str.splitlines would
+    # also break a HELP text at "\r" or "\x1e".
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):

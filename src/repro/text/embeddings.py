@@ -28,7 +28,6 @@ class SGNSConfig:
     epochs: int = 2
     lr: float = 0.025
     min_lr: float = 1e-4
-    subsample_t: float = 1e-3
     batch_size: int = 512
     seed: int = 0
 
@@ -76,12 +75,6 @@ class SkipGramEmbeddings:
         if total == 0:
             raise ValueError("corpus contains no trainable tokens")
         self._noise_probs = powered / total
-
-    def _subsample_mask(self, seq: np.ndarray, counts: np.ndarray, total: int):
-        freq = counts[seq] / max(1, total)
-        t = self.config.subsample_t
-        keep_prob = np.minimum(1.0, np.sqrt(t / np.maximum(freq, 1e-12)))
-        return self._rng.random(len(seq)) < keep_prob
 
     # -- training ----------------------------------------------------------------
 

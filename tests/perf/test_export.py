@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.perf import (
     PerfRegistry,
@@ -73,6 +75,28 @@ class TestRenderPrometheus:
         text = render_prometheus(reg.snapshot())
         assert "repro_build_preprocess_dedup_near_total" in text
         validate_prometheus(text)
+
+    @pytest.mark.parametrize(
+        "path, help_text",
+        [("a\nb", "Counter a\\nb"), ("a\\b", "Counter a\\\\b")],
+        ids=["newline", "backslash"],
+    )
+    def test_escapes_help_text(self, path, help_text):
+        text = render_prometheus({"counters": {path: 1}})
+        assert text.splitlines()[0] == f"# HELP repro_a_b_total {help_text}"
+        validate_prometheus(text)
+
+    @pytest.mark.parametrize("kind", ["count", "gauge", "span", "observe"])
+    @given(path=st.text(max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_every_path_renders_valid(self, kind, path):
+        reg = PerfRegistry()
+        if kind == "span":
+            with reg.span(path):
+                pass
+        else:
+            getattr(reg, kind)(path, 1)
+        validate_prometheus(render_prometheus(reg.snapshot()))
 
 
 class TestValidator:
