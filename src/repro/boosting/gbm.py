@@ -14,23 +14,13 @@ import numpy as np
 
 from repro import perf
 from repro.core.errors import NotFittedError
-from repro.boosting.objectives import LogisticObjective, SoftmaxObjective
+from repro.boosting.objectives import SoftmaxObjective
 from repro.boosting.tree import RegressionTree, TreeParams
 
 
 @dataclass
 class GBMParams:
-    """Ensemble hyper-parameters (XGBoost naming).
-
-    ``max_bins``: when set, features are quantile-binned once up front and
-    trees split on bin indices — the ``tree_method="hist"`` trade-off
-    (much faster split search, slightly coarser thresholds).
-
-    ``auto_hist_rows``: when ``max_bins`` is None and the training set has
-    at least this many rows, histogram mode is enabled automatically with
-    ``auto_hist_bins`` bins (the ``tree_method="auto"`` behaviour). Set to
-    0 to always use the exact sweep.
-    """
+    """Ensemble hyper-parameters (XGBoost naming)."""
 
     n_estimators: int = 60
     learning_rate: float = 0.3
@@ -41,57 +31,15 @@ class GBMParams:
     subsample: float = 1.0
     colsample: float = 1.0
     early_stopping_rounds: int | None = None
-    max_bins: int | None = None
-    auto_hist_rows: int = 4096
-    auto_hist_bins: int = 256
     seed: int = 0
 
-    def effective_bins(self, num_rows: int) -> int | None:
-        """Bin count to train with: explicit ``max_bins``, or the auto-hist
-        default once the training set crosses ``auto_hist_rows`` rows."""
-        if self.max_bins is not None:
-            return self.max_bins
-        if self.auto_hist_rows and num_rows >= self.auto_hist_rows:
-            return self.auto_hist_bins
-        return None
-
-    def tree_params(self, binned_max: int | None = None) -> TreeParams:
+    def tree_params(self) -> TreeParams:
         return TreeParams(
             max_depth=self.max_depth,
             min_child_weight=self.min_child_weight,
             reg_lambda=self.reg_lambda,
             gamma=self.gamma,
-            binned_max=self.max_bins if binned_max is None else binned_max,
         )
-
-
-class QuantileBinner:
-    """Per-feature quantile binning for histogram-mode training."""
-
-    def __init__(self, max_bins: int) -> None:
-        if max_bins < 2:
-            raise ValueError("max_bins must be >= 2")
-        self.max_bins = max_bins
-        self.edges_: list[np.ndarray] | None = None
-
-    def fit(self, features: np.ndarray) -> "QuantileBinner":
-        quantiles = np.linspace(0, 1, self.max_bins + 1)[1:-1]
-        self.edges_ = [
-            np.unique(np.quantile(features[:, j], quantiles))
-            for j in range(features.shape[1])
-        ]
-        return self
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        if self.edges_ is None:
-            raise RuntimeError("binner not fitted")
-        out = np.empty_like(features)
-        for j, edges in enumerate(self.edges_):
-            out[:, j] = np.searchsorted(edges, features[:, j], side="right")
-        return out
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        return self.fit(features).transform(features)
 
 
 @dataclass
@@ -111,8 +59,7 @@ class GradientBoostingClassifier:
             raise ValueError("pass either params or keyword overrides, not both")
         self.params = params or GBMParams(**overrides)
         self._rounds: list[_Round] = []
-        self._binner: QuantileBinner | None = None
-        self._objective: SoftmaxObjective | LogisticObjective | None = None
+        self._objective: SoftmaxObjective | None = None
         self.num_classes_: int | None = None
         self.num_features_: int | None = None
         self.best_iteration_: int | None = None
@@ -136,19 +83,7 @@ class GradientBoostingClassifier:
         rng = np.random.default_rng(self.params.seed)
         self.num_classes_ = int(targets.max()) + 1
         self.num_features_ = features.shape[1]
-        self._binner = None
-        bins = self.params.effective_bins(len(features))
-        tree_params = self.params.tree_params(bins)
-        if bins is not None:
-            self._binner = QuantileBinner(bins)
-            features = self._binner.fit_transform(features)
-            if eval_set is not None:
-                eval_set = (
-                    self._binner.transform(
-                        np.asarray(eval_set[0], dtype=np.float64)
-                    ),
-                    eval_set[1],
-                )
+        tree_params = self.params.tree_params()
         self._objective = SoftmaxObjective(max(2, self.num_classes_))
         self._rounds = []
         self.eval_history_ = []
@@ -216,8 +151,6 @@ class GradientBoostingClassifier:
         if self._objective is None:
             raise NotFittedError("GradientBoostingClassifier not fitted")
         features = np.asarray(features, dtype=np.float64)
-        if self._binner is not None:
-            features = self._binner.transform(features)
         scores = self._objective.init_scores(len(features))
         for round_ in self._rounds[: self.best_iteration_]:
             for k, tree in enumerate(round_.trees):

@@ -49,35 +49,3 @@ class SoftmaxObjective:
 
     def predict_proba(self, scores: np.ndarray) -> np.ndarray:
         return softmax(scores)
-
-
-class LogisticObjective:
-    """Binary logistic loss on a single score column."""
-
-    num_classes = 2
-
-    def init_scores(self, n: int) -> np.ndarray:
-        return np.zeros((n, 1))
-
-    def grad_hess(
-        self, scores: np.ndarray, targets: np.ndarray,
-        sample_weight: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        p = 1.0 / (1.0 + np.exp(-scores[:, 0]))
-        grad = (p - targets)[:, None]
-        hess = np.maximum(p * (1.0 - p), 1e-6)[:, None]
-        if sample_weight is not None:
-            grad = grad * sample_weight[:, None]
-            hess = hess * sample_weight[:, None]
-        return grad, hess
-
-    def loss(self, scores: np.ndarray, targets: np.ndarray) -> float:
-        p = 1.0 / (1.0 + np.exp(-scores[:, 0]))
-        p = np.clip(p, 1e-12, 1 - 1e-12)
-        return float(
-            -(targets * np.log(p) + (1 - targets) * np.log(1 - p)).mean()
-        )
-
-    def predict_proba(self, scores: np.ndarray) -> np.ndarray:
-        p = 1.0 / (1.0 + np.exp(-scores[:, 0]))
-        return np.stack([1 - p, p], axis=1)

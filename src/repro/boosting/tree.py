@@ -17,19 +17,13 @@ import numpy as np
 
 @dataclass
 class TreeParams:
-    """Growth hyper-parameters of one tree.
-
-    ``binned_max``: when the feature matrix contains integer bin indices
-    in ``[0, binned_max]`` (histogram mode), split search switches from
-    sort-based O(n log n) to bincount-based O(n + bins) per feature.
-    """
+    """Growth hyper-parameters of one tree."""
 
     max_depth: int = 4
     min_child_weight: float = 1.0
     reg_lambda: float = 1.0
     gamma: float = 0.0
     min_gain: float = 1e-12
-    binned_max: int | None = None
 
 
 @dataclass
@@ -127,10 +121,6 @@ class RegressionTree:
         accumulated column-wise in the same order as the reference, so the
         chosen split is bitwise identical.
         """
-        if self.params.binned_max is not None:
-            return self._best_split_hist(
-                features, grad, hess, rows, cols, g_total, h_total
-            )
         lam = self.params.reg_lambda
         parent_score = g_total**2 / (h_total + lam)
         g = grad[rows]
@@ -244,60 +234,6 @@ class RegressionTree:
                     rows[mask],
                     rows[~mask],
                 )
-        return best
-
-    def _best_split_hist(
-        self,
-        features: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        g_total: float,
-        h_total: float,
-    ):
-        """Histogram split search: bincount per feature, O(n + bins)."""
-        lam = self.params.reg_lambda
-        num_bins = int(self.params.binned_max) + 1
-        parent_score = g_total**2 / (h_total + lam)
-        best_gain = self.params.min_gain
-        best = None
-        g = grad[rows]
-        h = hess[rows]
-        for feature in cols:
-            values = features[rows, feature].astype(np.int64)
-            g_hist = np.bincount(values, weights=g, minlength=num_bins)
-            h_hist = np.bincount(values, weights=h, minlength=num_bins)
-            occupancy = np.bincount(values, minlength=num_bins)
-            g_left = np.cumsum(g_hist)[:-1]
-            h_left = np.cumsum(h_hist)[:-1]
-            g_right = g_total - g_left
-            h_right = h_total - h_left
-            occupied_left = np.cumsum(occupancy)[:-1]
-            valid = (
-                (h_left >= self.params.min_child_weight)
-                & (h_right >= self.params.min_child_weight)
-                & (occupied_left > 0)
-                & (occupied_left < len(rows))
-            )
-            if not valid.any():
-                continue
-            gains = (
-                0.5
-                * (
-                    g_left**2 / (h_left + lam)
-                    + g_right**2 / (h_right + lam)
-                    - parent_score
-                )
-                - self.params.gamma
-            )
-            gains[~valid] = -np.inf
-            k = int(np.argmax(gains))
-            if gains[k] > best_gain:
-                threshold = k + 0.5  # split between bin k and k+1
-                mask = values <= k
-                best_gain = float(gains[k])
-                best = (best_gain, feature, threshold, rows[mask], rows[~mask])
         return best
 
     # -- prediction --------------------------------------------------------------

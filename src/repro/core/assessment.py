@@ -14,9 +14,9 @@ import numpy as np
 
 from repro.core.config import SplitConfig, WindowConfig
 from repro.core.dataset import RSD15K
-from repro.core.errors import ModelError, NotFittedError
+from repro.core.errors import ModelError
 from repro.core.schema import RiskLevel
-from repro.corpus.models import RedditPost, UserHistory
+from repro.corpus.models import UserHistory
 from repro.eval.metrics import EvalReport
 from repro.models.registry import create_model
 from repro.temporal.windows import PostWindow, build_window
@@ -89,22 +89,27 @@ class RiskAssessor:
         return self.assess_window(window)
 
     def risk_trajectory(self, history: UserHistory) -> list[RiskTimepoint]:
-        """Predicted risk after each successive post — risk evolution."""
+        """Predicted risk after each successive post — risk evolution.
+
+        Every prefix window is scored in one ``predict`` call; prediction
+        labels do not depend on batch composition, so each level equals
+        :meth:`assess` of that prefix.
+        """
         if not history.posts:
             raise ModelError("cannot assess an empty history")
-        out = []
-        for i in range(1, len(history.posts) + 1):
-            partial = UserHistory(
-                author=history.author, posts=list(history.posts[:i])
+        windows = [
+            build_window(
+                UserHistory(author=history.author, posts=list(history.posts[:i])),
+                self.window_config,
+                label=RiskLevel.INDICATOR,
             )
-            window = build_window(
-                partial, self.window_config, label=RiskLevel.INDICATOR
-            )
-            level = self.assess_window(window)
-            out.append(
-                RiskTimepoint(when=history.posts[i - 1].timestamp, level=level)
-            )
-        return out
+            for i in range(1, len(history.posts) + 1)
+        ]
+        levels = self.model.predict(windows)
+        return [
+            RiskTimepoint(when=post.timestamp, level=RiskLevel(int(level)))
+            for post, level in zip(history.posts, levels)
+        ]
 
     def alert(
         self, history: UserHistory, threshold: RiskLevel = RiskLevel.BEHAVIOR

@@ -40,10 +40,6 @@ class InspectionError(AnnotationError):
     """A daily quality inspection fell below the required accuracy."""
 
 
-class VocabularyError(ReproError):
-    """A token id or token string is unknown to the vocabulary."""
-
-
 class ShapeError(ReproError):
     """A tensor operation received operands of incompatible shapes."""
 

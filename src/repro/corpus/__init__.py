@@ -4,7 +4,6 @@ from repro.corpus.generator import (
     SUBREDDIT,
     CorpusGenerator,
     SyntheticCorpus,
-    generate_corpus,
 )
 from repro.corpus.models import RedditPost, UserHistory, UserProfile
 from repro.corpus.reddit import Listing, RedditSimulator, Subreddit, crawl
@@ -13,7 +12,6 @@ __all__ = [
     "SUBREDDIT",
     "CorpusGenerator",
     "SyntheticCorpus",
-    "generate_corpus",
     "RedditPost",
     "UserHistory",
     "UserProfile",

@@ -22,7 +22,6 @@ import numpy as np
 from repro import perf
 from repro.core.config import CorpusConfig
 from repro.core.rng import SeedSequenceRegistry
-from repro.core.schema import RiskLevel
 from repro.corpus.lexicon import SentenceSampler
 from repro.corpus.models import RedditPost, UserProfile, utc_from_timestamp
 from repro.corpus.reddit import RedditSimulator, crawl
@@ -292,28 +291,3 @@ class CorpusGenerator:
             profiles={p.author: p for p in annotated},
             config=cfg,
         )
-
-
-def generate_corpus(
-    scale: float = 1.0, seed: int | None = None, **overrides
-) -> SyntheticCorpus:
-    """Convenience one-call corpus builder.
-
-    Parameters
-    ----------
-    scale:
-        Fraction of the paper-sized corpus to generate (1.0 = 14,613
-        annotated posts).
-    seed:
-        Master seed; defaults to the library default.
-    overrides:
-        Any :class:`CorpusConfig` field, e.g. ``lexical_strength=0.5``.
-    """
-    cfg = CorpusConfig(**overrides) if overrides else CorpusConfig()
-    if seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if scale != 1.0:
-        cfg = cfg.scaled(scale)
-    return CorpusGenerator(cfg).generate()

@@ -7,7 +7,7 @@ from repro.eval.metrics import (
     macro_f1,
     per_class_f1,
 )
-from repro.eval.reporting import to_csv, to_json, to_markdown
+from repro.eval.reporting import to_markdown
 from repro.eval.runner import (
     MetricSummary,
     MultiRunResult,
@@ -18,8 +18,6 @@ from repro.eval.runner import (
 from repro.eval.splits import WindowSplits, split_users, split_windows
 
 __all__ = [
-    "to_csv",
-    "to_json",
     "to_markdown",
     "MetricSummary",
     "MultiRunResult",

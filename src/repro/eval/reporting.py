@@ -1,10 +1,7 @@
-"""Result export: markdown, CSV, and JSON renderings of eval reports."""
+"""Result export: the markdown rendering of eval reports."""
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections.abc import Sequence
 
 from repro.eval.metrics import EvalReport
@@ -27,31 +24,3 @@ def to_markdown(reports: Sequence[EvalReport]) -> str:
         ]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
-
-
-def to_csv(reports: Sequence[EvalReport]) -> str:
-    """CSV with one row per model."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_COLUMNS)
-    writer.writeheader()
-    for report in reports:
-        row = report.as_row()
-        writer.writerow({c: row[c] for c in _COLUMNS})
-    return buffer.getvalue()
-
-
-def to_json(reports: Sequence[EvalReport]) -> str:
-    """JSON including the confusion matrix and per-class support."""
-    payload = []
-    for report in reports:
-        payload.append(
-            {
-                "model": report.model,
-                "accuracy": report.accuracy,
-                "macro_f1": report.macro_f1,
-                "class_f1": {lv.short: f1 for lv, f1 in report.class_f1.items()},
-                "support": {lv.short: n for lv, n in report.support.items()},
-                "confusion": report.confusion.tolist(),
-            }
-        )
-    return json.dumps(payload, indent=2)

@@ -96,6 +96,19 @@ def evaluate(model: RiskModel, splits: WindowSplits) -> EvalReport:
     )
 
 
+def _evaluate_in_worker(
+    model: RiskModel, splits: WindowSplits
+) -> tuple[EvalReport, dict[str, tuple[int, float]]]:
+    """:func:`evaluate` in a pool worker, plus the ``(calls, seconds)``
+    of every span the job recorded in the worker's registry."""
+    perf.reset()
+    report = evaluate(model, splits)
+    spans = perf.snapshot()["spans"]
+    return report, {
+        path: (entry["calls"], entry["total_s"]) for path, entry in spans.items()
+    }
+
+
 def run_jobs(
     jobs: Sequence[tuple[RiskModel, WindowSplits]],
     n_jobs: int | None = None,
@@ -109,6 +122,9 @@ def run_jobs(
     reports bitwise identical to the serial one. Workers fit copies, so
     read results from the reports, not from the caller's models. A job
     that raises in a worker re-raises here, after the pool has shut down.
+    Each worker job's span totals (calls and seconds, not histograms)
+    are added under ``eval.run_jobs``, where the serial path records
+    them.
     """
     workers = _default_jobs() if n_jobs is None else int(n_jobs)
     if workers < 1:
@@ -121,7 +137,12 @@ def run_jobs(
                 max_workers=min(workers, len(jobs)),
                 mp_context=multiprocessing.get_context("spawn"),
             ) as pool:
-                reports = list(pool.map(evaluate, *zip(*jobs)))
+                results = list(pool.map(_evaluate_in_worker, *zip(*jobs)))
+            registry = perf.get_registry()
+            for _, spans in results:
+                for path, (calls, total_s) in spans.items():
+                    registry.add_span(path, calls, total_s)
+            reports = [report for report, _ in results]
         perf.count("eval.jobs", len(jobs))
     return reports
 

@@ -1,6 +1,6 @@
 """The five Table III baseline models."""
 
-from repro.models.base import RiskModel, class_weight_vector, window_labels
+from repro.models.base import RiskModel, window_labels
 from repro.models.bilstm import BiLSTMNetwork, TimeAwareBiLSTM
 from repro.models.deberta import DebertaRiskModel, DebertaRiskNetwork
 from repro.models.features import FeatureFramework
@@ -22,16 +22,13 @@ from repro.models.plm import (
 )
 from repro.models.registry import (
     TABLE3_ORDER,
-    available_models,
     create_model,
-    register_model,
 )
 from repro.models.roberta import RobertaRiskModel, RobertaRiskNetwork
 from repro.models.xgboost_baseline import XGBoostBaseline
 
 __all__ = [
     "RiskModel",
-    "class_weight_vector",
     "window_labels",
     "BiLSTMNetwork",
     "TimeAwareBiLSTM",
@@ -53,9 +50,7 @@ __all__ = [
     "mask_tokens",
     "pretrain_mlm",
     "TABLE3_ORDER",
-    "available_models",
     "create_model",
-    "register_model",
     "RobertaRiskModel",
     "RobertaRiskNetwork",
     "XGBoostBaseline",

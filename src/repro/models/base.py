@@ -71,11 +71,3 @@ class RiskModel(abc.ABC):
 def window_labels(windows: list[PostWindow]) -> np.ndarray:
     """Integer label vector of a window list."""
     return np.array([int(w.label) for w in windows], dtype=np.int64)
-
-
-def class_weight_vector(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Inverse-frequency class weights, normalised to mean 1."""
-    counts = np.bincount(labels, minlength=num_classes).astype(np.float64)
-    counts = np.maximum(counts, 1.0)
-    weights = len(labels) / (num_classes * counts)
-    return weights / weights.mean()

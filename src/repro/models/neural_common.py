@@ -73,7 +73,7 @@ class TextPipeline:
         self.max_tokens_per_post = max_tokens_per_post
         self._tokenizer = WordTokenizer()
         self.vocab = None
-        self._time_encoder = TimeEncoder(include_tags=True)
+        self._time_encoder = TimeEncoder()
 
     @property
     def vocab(self) -> Vocabulary | None:
@@ -242,38 +242,6 @@ def bucketed_batches(
         order[start : start + batch_size]
         for start in range(0, len(order), batch_size)
     ]
-
-
-def pad_waste_ratio(
-    lengths: np.ndarray,
-    batch_size: int,
-    max_len: int | None = None,
-    bucket_by_length: bool = False,
-) -> float:
-    """Fraction of token slots that are padding under a batching policy.
-
-    Mirrors :func:`pad_sequences` semantics: each batch is padded to its
-    own longest member, lengths clipped at ``max_len``.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if max_len is not None:
-        lengths = np.minimum(lengths, max_len)
-    if not len(lengths):
-        return 0.0
-    if bucket_by_length:
-        batches_idx = bucketed_batches(lengths, batch_size)
-    else:
-        batches_idx = [
-            np.arange(start, min(start + batch_size, len(lengths)))
-            for start in range(0, len(lengths), batch_size)
-        ]
-    slots = 0
-    real = 0
-    for idx in batches_idx:
-        chunk = lengths[idx]
-        slots += int(chunk.max()) * len(chunk)
-        real += int(chunk.sum())
-    return 1.0 - real / max(slots, 1)
 
 
 # -- training loop --------------------------------------------------------------

@@ -27,11 +27,6 @@ _REGISTRY: dict[str, Callable[..., RiskModel]] = {
 TABLE3_ORDER = ("xgboost", "bilstm", "higru", "roberta", "deberta")
 
 
-def available_models() -> list[str]:
-    """Registered model keys, in Table III order."""
-    return list(TABLE3_ORDER)
-
-
 def create_model(name: str, **kwargs) -> RiskModel:
     """Instantiate a baseline by key (case-insensitive)."""
     key = name.strip().lower()
@@ -40,8 +35,3 @@ def create_model(name: str, **kwargs) -> RiskModel:
             f"unknown model {name!r}; available: {sorted(_REGISTRY)}"
         )
     return _REGISTRY[key](**kwargs)
-
-
-def register_model(name: str, factory: Callable[..., RiskModel]) -> None:
-    """Register a custom model under ``name`` (overwrites existing)."""
-    _REGISTRY[name.strip().lower()] = factory

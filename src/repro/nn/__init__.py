@@ -6,24 +6,17 @@ from repro.nn.attention import (
     TemporalDecayAttention,
     relative_position_index,
 )
-from repro.nn.data import (
-    batches,
-    pad_sequences,
-)
+from repro.nn.data import pad_sequences
 from repro.nn.layers import (
     GELU,
     Dropout,
     Embedding,
     LayerNorm,
     Linear,
-    ReLU,
-    Sequential,
-    Tanh,
 )
 from repro.nn.losses import IGNORE_INDEX, cross_entropy
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.optim import (
-    SGD,
     Adam,
     LRSchedule,
     Optimizer,
@@ -45,22 +38,17 @@ __all__ = [
     "MultiHeadAttention",
     "TemporalDecayAttention",
     "relative_position_index",
-    "batches",
     "pad_sequences",
     "GELU",
     "Dropout",
     "Embedding",
     "LayerNorm",
     "Linear",
-    "ReLU",
-    "Sequential",
-    "Tanh",
     "IGNORE_INDEX",
     "cross_entropy",
     "Module",
     "ModuleList",
     "Parameter",
-    "SGD",
     "Adam",
     "LRSchedule",
     "Optimizer",

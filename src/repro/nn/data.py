@@ -1,8 +1,8 @@
-"""Batching utilities: padding, collation, shuffled minibatch iteration."""
+"""Batching utility: right-padding of token-id sequences."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -29,23 +29,3 @@ def pad_sequences(
         ids[i, : len(seq)] = seq
         mask[i, : len(seq)] = 1.0
     return ids, mask
-
-
-def batches(
-    n: int,
-    batch_size: int,
-    rng: np.random.Generator | None = None,
-    drop_last: bool = False,
-) -> Iterator[np.ndarray]:
-    """Yield index arrays for minibatches over ``range(n)``.
-
-    Shuffles when ``rng`` is given; otherwise sequential order.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    order = rng.permutation(n) if rng is not None else np.arange(n)
-    for start in range(0, n, batch_size):
-        batch = order[start : start + batch_size]
-        if drop_last and len(batch) < batch_size:
-            return
-        yield batch

@@ -1,4 +1,4 @@
-"""Basic layers: Linear, Embedding, LayerNorm, Dropout, Sequential."""
+"""Basic layers: Linear, Embedding, LayerNorm, Dropout, GELU."""
 
 from __future__ import annotations
 
@@ -90,31 +90,6 @@ class Dropout(Module):
             x._accumulate(grad * (mask * scale))
 
         return Tensor._make(x.data * (mask * scale), (x,), backward)
-
-
-class Sequential(Module):
-    """Feed input through modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._seq = list(modules)
-        for i, module in enumerate(modules):
-            self._modules[str(i)] = module
-
-    def forward(self, x):
-        for module in self._seq:
-            x = module(x)
-        return x
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
 
 
 class GELU(Module):

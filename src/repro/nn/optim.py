@@ -40,26 +40,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """SGD with optional classical momentum."""
-
-    def __init__(self, parameters, lr: float, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) with bias correction."""
 

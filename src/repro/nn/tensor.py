@@ -413,17 +413,6 @@ class Tensor:
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor.ensure(other) / self
 
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward)
-
     def __matmul__(self, other) -> "Tensor":
         other = Tensor.ensure(other)
         out_data = self.data @ other.data
@@ -467,31 +456,6 @@ class Tensor:
 
     # -- elementwise functions ---------------------------------------------------
 
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(np.log(self.data), (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * 0.5 / out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
 
@@ -509,15 +473,6 @@ class Tensor:
                 self._accumulate(grad * out_data * (1.0 - out_data))
 
         return Tensor._make(out_data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return Tensor._make(self.data * mask, (self,), backward)
 
     def gelu(self) -> "Tensor":
         """Tanh-approximated GELU (the BERT-family activation).
@@ -572,21 +527,6 @@ class Tensor:
         else:
             count = self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = grad if keepdims else np.expand_dims(grad, axis=axis)
-            expanded = out_data if keepdims else np.expand_dims(out_data, axis=axis)
-            mask = self.data == expanded
-            # Split gradient between ties.
-            counts = mask.sum(axis=axis, keepdims=True, dtype=g.dtype)
-            self._accumulate(g * mask / counts)
-
-        return Tensor._make(out_data, (self,), backward)
 
     # -- shape ops -------------------------------------------------------------
 

@@ -16,9 +16,12 @@ accepts):
 Paths are sanitised ``[^a-zA-Z0-9_] → _`` and prefixed ``repro_``, so
 ``serve.batch`` becomes ``repro_serve_batch_seconds``; the raw path
 goes into ``# HELP`` with backslash and newline escaped as the text
-format requires, so every path renders valid exposition. No labels are
-emitted — one flat time series per path keeps the scrape config
-trivial.
+format requires, so every path renders valid exposition. Sanitising
+can give two families one name (``a.b`` and ``a_b``, or a gauge and an
+observation on one path); each family in such a clash also carries a
+digest of its kind and raw path, so no two families share a name or a
+sample name. No labels are emitted — one flat time series per path
+keeps the scrape config trivial.
 
 :func:`validate_prometheus` is a strict line-format checker used by the
 test suite and CI to guarantee the rendering stays scrapeable: TYPE
@@ -28,8 +31,10 @@ ending at ``+Inf``, and ``_count`` consistent with the ``+Inf`` bucket.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
+from collections import Counter
 
 __all__ = [
     "json_snapshot",
@@ -54,6 +59,48 @@ _TYPE_RE = re.compile(
 
 def _name(path: str, suffix: str = "") -> str:
     return f"{_PREFIX}_{_SAN.sub('_', path)}{suffix}"
+
+
+def _families(snapshot: dict) -> dict[tuple[str, str], tuple[str, str]]:
+    """``(kind, path) → (family name, type)`` for every rendered family.
+
+    A family is named after its sanitised path. Where two families
+    would share a name or a sample name, each of them also carries the
+    first 8 hex digits of the sha256 of its kind and raw path, so the
+    map is injective and a name changes only when it clashes.
+    """
+    entries = [
+        (kind, path, suffix, kind_type)
+        for kind, suffix, kind_type in (
+            ("counters", "_total", "counter"),
+            ("gauges", "", "gauge"),
+            ("observations", "", "histogram"),
+        )
+        for path in snapshot.get(kind, {})
+    ]
+    for path, entry in snapshot.get("spans", {}).items():
+        if entry.get("buckets"):
+            entries.append(("spans", path, "_seconds", "histogram"))
+        else:
+            entries.append(("spans", path, "_seconds_total", "counter"))
+
+    def samples(name: str, kind_type: str) -> list[str]:
+        if kind_type == "histogram":
+            return [name, f"{name}_bucket", f"{name}_sum", f"{name}_count"]
+        return [name]
+
+    names = {(k, p): _name(p, suffix) for k, p, suffix, _ in entries}
+    owners = Counter(
+        sample for k, p, _, t in entries for sample in samples(names[k, p], t)
+    )
+    families = {}
+    for kind, path, suffix, kind_type in entries:
+        name = names[kind, path]
+        if any(owners[s] > 1 for s in samples(name, kind_type)):
+            digest = hashlib.sha256(f"{kind}:{path}".encode()).hexdigest()
+            name = _name(f"{path}_{digest[:8]}", suffix)
+        families[kind, path] = (name, kind_type)
+    return families
 
 
 def _help(name: str, text: str) -> str:
@@ -89,34 +136,34 @@ def _histogram_lines(
 
 def render_prometheus(snapshot: dict) -> str:
     """Render a registry snapshot as Prometheus exposition text."""
+    families = _families(snapshot)
     lines: list[str] = []
     for path, value in sorted(snapshot.get("counters", {}).items()):
-        name = _name(path, "_total")
+        name, _ = families["counters", path]
         lines.append(_help(name, f"Counter {path}"))
         lines.append(f"# TYPE {name} counter")
         lines.append(f"{name} {value}")
     for path, value in sorted(snapshot.get("gauges", {}).items()):
-        name = _name(path)
+        name, _ = families["gauges", path]
         lines.append(_help(name, f"Gauge {path}"))
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {_fmt(value)}")
     for path, entry in sorted(snapshot.get("spans", {}).items()):
-        name = _name(path, "_seconds")
-        buckets = entry.get("buckets")
-        if buckets:
+        name, kind_type = families["spans", path]
+        if kind_type == "histogram":
             lines.extend(
                 _histogram_lines(
                     name, path,
-                    [(b, c) for b, c in buckets],
-                    entry["total_s"], entry["calls"],
+                    [(b, c) for b, c in entry["buckets"]],
+                    entry["hist"]["sum_s"], entry["hist"]["count"],
                 )
             )
         else:
-            lines.append(_help(f"{name}_total", f"Total seconds in span {path}"))
-            lines.append(f"# TYPE {name}_total counter")
-            lines.append(f"{name}_total {_fmt(entry['total_s'])}")
+            lines.append(_help(name, f"Total seconds in span {path}"))
+            lines.append(f"# TYPE {name} counter")
+            lines.append(f"{name} {_fmt(entry['total_s'])}")
     for path, entry in sorted(snapshot.get("observations", {}).items()):
-        name = _name(path)
+        name, _ = families["observations", path]
         hist = entry["hist"]
         lines.extend(
             _histogram_lines(

@@ -132,6 +132,18 @@ class PerfRegistry:
             stat.calls += 1
             stat.hist.observe(elapsed)
 
+    def add_span(self, name: str, calls: int, total_s: float) -> None:
+        """Add ``calls`` finished spans of ``total_s`` seconds in all
+        under the active span path, with no duration histogram — for
+        span totals measured in another process."""
+        path = self._path(name)
+        shard = self._shard()
+        stat = shard.get(path)
+        if stat is None:
+            stat = shard[path] = PerfStat(path)
+        stat.total_s += total_s
+        stat.calls += calls
+
     def count(self, name: str, n: int = 1) -> None:
         """Increment a counter under the currently active span path."""
         path = self._path(name)

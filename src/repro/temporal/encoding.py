@@ -70,19 +70,13 @@ def time_tags(when: datetime) -> np.ndarray:
 class TimeEncoder:
     """Per-post temporal feature vectors for a chronological window.
 
-    Parameters
-    ----------
-    include_tags:
-        Append the DeBERTa-style binary tags (night / weekend).
-
+    Each row ends with the DeBERTa-style binary tags (night / weekend).
     The output dimension is exposed as :attr:`dim` so models can size
     their temporal projection layers.
     """
 
-    def __init__(self, include_tags: bool = True) -> None:
-        self.include_tags = include_tags
-        # periodic 8 + interval 8 (7 buckets + log) + cumulative 3 (+ tags 2)
-        self.dim = 8 + (len(_GAP_EDGES_HOURS) + 2) + 3 + (2 if include_tags else 0)
+    # periodic 8 + interval 8 (7 buckets + log) + cumulative 3 + tags 2
+    dim = 8 + (len(_GAP_EDGES_HOURS) + 2) + 3 + 2
 
     def encode_window(self, posts: list[RedditPost]) -> np.ndarray:
         """(len(posts), dim) matrix of temporal features.
@@ -114,9 +108,8 @@ class TimeEncoder:
         out[:, col + 1] = index / (n - 1) if n > 1 else 1.0
         out[:, col + 2] = np.log1p(index.astype(np.float64))
         out[:, col + 3] = np.log1p((ts - ts[0]) / 3600.0)
-        if self.include_tags:
-            out[:, col + 4] = [float(is_night(when)) for when in times]
-            out[:, col + 5] = [float(when.weekday() >= 5) for when in times]
+        out[:, col + 4] = [float(is_night(when)) for when in times]
+        out[:, col + 5] = [float(when.weekday() >= 5) for when in times]
         return out
 
     def encode_window_reference(self, posts: list[RedditPost]) -> np.ndarray:
@@ -134,9 +127,8 @@ class TimeEncoder:
                 periodic_encoding(post.created_utc),
                 interval_encoding(gap_hours),
                 cumulative_encoding(i, len(posts), (ts - first_ts) / 3600.0),
+                time_tags(post.created_utc),
             ]
-            if self.include_tags:
-                parts.append(time_tags(post.created_utc))
             rows.append(np.concatenate(parts))
             prev_ts = ts
         return np.vstack(rows)

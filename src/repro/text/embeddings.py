@@ -153,31 +153,6 @@ class SkipGramEmbeddings:
         ) / b
         return float(loss)
 
-    # -- queries ------------------------------------------------------------------
-
-    def vector(self, token: str) -> np.ndarray:
-        return self.vectors[self.vocab.id_of(token)]
-
-    def similarity(self, a: str, b: str) -> float:
-        """Cosine similarity of two tokens' vectors."""
-        va, vb = self.vector(a), self.vector(b)
-        denom = np.linalg.norm(va) * np.linalg.norm(vb)
-        if denom == 0:
-            return 0.0
-        return float(va @ vb / denom)
-
-    def most_similar(self, token: str, k: int = 5) -> list[tuple[str, float]]:
-        """Top-k nearest tokens by cosine similarity (excluding itself)."""
-        target = self.vector(token)
-        norms = np.linalg.norm(self.vectors, axis=1) * (
-            np.linalg.norm(target) + 1e-12
-        )
-        sims = self.vectors @ target / np.maximum(norms, 1e-12)
-        sims[self.vocab.id_of(token)] = -np.inf
-        sims[:5] = -np.inf  # specials
-        top = np.argsort(sims)[::-1][:k]
-        return [(self.vocab.token_of(int(i)), float(sims[i])) for i in top]
-
 
 def train_embeddings(
     texts: list[str],

@@ -5,8 +5,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 
-from repro.core.errors import VocabularyError
-
 PAD = "<pad>"
 UNK = "<unk>"
 BOS = "<s>"
@@ -93,12 +91,6 @@ class Vocabulary:
         """Id of ``token``, falling back to ``<unk>``."""
         return self._token_to_id.get(token, self.unk_id)
 
-    def token_of(self, idx: int) -> str:
-        try:
-            return self._id_to_token[idx]
-        except IndexError as exc:
-            raise VocabularyError(f"id {idx} out of range") from exc
-
     def encode(
         self, tokens: list[str], add_special: bool = False
     ) -> list[int]:
@@ -108,12 +100,6 @@ class Vocabulary:
         if add_special:
             return [self.bos_id, *ids, self.eos_id]
         return ids
-
-    def decode(self, ids: Iterable[int], skip_special: bool = True) -> list[str]:
-        tokens = [self.token_of(int(i)) for i in ids]
-        if skip_special:
-            tokens = [t for t in tokens if t not in SPECIAL_TOKENS]
-        return tokens
 
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id

@@ -1,17 +1,16 @@
 """Failure-injection tests: the QC machinery under degraded conditions."""
 
-import numpy as np
 import pytest
 
 from repro.annotation.process import AnnotationCampaign
-from repro.core.config import AnnotationConfig
-from repro.corpus import generate_corpus
+from repro.core.config import AnnotationConfig, CorpusConfig
+from repro.corpus import CorpusGenerator
 from repro.preprocess import preprocess
 
 
 @pytest.fixture(scope="module")
 def posts():
-    corpus = generate_corpus(scale=0.03)
+    corpus = CorpusGenerator(CorpusConfig().scaled(0.03)).generate()
     return preprocess(corpus.annotated_posts, enable_near_dedup=False).posts
 
 

@@ -1,18 +1,17 @@
 """Tests for the end-to-end annotation campaign protocol."""
 
-import numpy as np
 import pytest
 
 from repro.annotation.process import AnnotationCampaign
-from repro.core.config import AnnotationConfig
+from repro.core.config import AnnotationConfig, CorpusConfig
 from repro.core.errors import TrainingGateError
-from repro.corpus import generate_corpus
+from repro.corpus import CorpusGenerator
 from repro.preprocess import preprocess
 
 
 @pytest.fixture(scope="module")
 def clean_posts():
-    corpus = generate_corpus(scale=0.04)
+    corpus = CorpusGenerator(CorpusConfig().scaled(0.04)).generate()
     return preprocess(corpus.annotated_posts, enable_near_dedup=False).posts
 
 

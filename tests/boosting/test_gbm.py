@@ -6,7 +6,6 @@ import pytest
 from repro.boosting import (
     GBMParams,
     GradientBoostingClassifier,
-    LogisticObjective,
     SoftmaxObjective,
     softmax,
 )
@@ -50,14 +49,6 @@ class TestObjectives:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             SoftmaxObjective(1)
-
-    def test_logistic_objective(self):
-        obj = LogisticObjective()
-        scores = np.zeros((3, 1))
-        grad, hess = obj.grad_hess(scores, np.array([0, 1, 1]))
-        assert np.allclose(grad[:, 0], [0.5, -0.5, -0.5])
-        probs = obj.predict_proba(scores)
-        assert np.allclose(probs.sum(axis=1), 1.0)
 
 
 class TestClassifier:

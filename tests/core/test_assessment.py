@@ -1,6 +1,5 @@
 """Tests for the high-level RiskAssessor API."""
 
-import numpy as np
 import pytest
 
 from repro.boosting import GBMParams
@@ -8,6 +7,7 @@ from repro.core.assessment import RiskAssessor, RiskTimepoint
 from repro.core.errors import ModelError
 from repro.core.schema import RiskLevel
 from repro.corpus.models import UserHistory
+from repro.models import TrainerConfig
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +16,17 @@ def assessor(small_dataset):
         "xgboost",
         params=GBMParams(n_estimators=8, max_depth=3),
         max_tfidf_features=80,
+    ).fit(small_dataset)
+
+
+@pytest.fixture(scope="module")
+def neural_assessor(small_dataset):
+    return RiskAssessor(
+        "bilstm",
+        trainer=TrainerConfig(epochs=1, batch_size=8, patience=1),
+        embed_dim=16,
+        hidden_dim=16,
+        max_vocab=300,
     ).fit(small_dataset)
 
 
@@ -53,6 +64,23 @@ class TestAssess:
         history = histories[author]
         trajectory = assessor.risk_trajectory(history)
         assert trajectory[-1].level == assessor.assess(history)
+
+    @pytest.mark.parametrize("fixture", ["assessor", "neural_assessor"])
+    def test_trajectory_equals_per_prefix_assess(
+        self, fixture, request, small_dataset
+    ):
+        """One batched ``predict`` over every prefix gives the levels that
+        scoring each prefix on its own gives."""
+        model = request.getfixturevalue(fixture)
+        histories = small_dataset.histories()
+        for author in small_dataset.most_active_users(3):
+            history = histories[author]
+            expected = [
+                model.assess(UserHistory(author, list(history.posts[:i])))
+                for i in range(1, len(history.posts) + 1)
+            ]
+            levels = [point.level for point in model.risk_trajectory(history)]
+            assert levels == expected
 
     def test_alert_threshold(self, assessor, small_dataset):
         history = next(iter(small_dataset.histories().values()))

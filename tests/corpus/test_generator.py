@@ -10,7 +10,6 @@ from repro.core.schema import ALL_LEVELS
 from repro.corpus.generator import (
     SUBREDDIT,
     CorpusGenerator,
-    generate_corpus,
     place_in_day,
 )
 from repro.corpus.models import utc_from_timestamp
@@ -105,8 +104,8 @@ class TestGenerate:
         assert {p.subreddit for p in small_corpus.raw_posts} == {SUBREDDIT}
 
     def test_reproducible(self):
-        a = generate_corpus(scale=0.02)
-        b = generate_corpus(scale=0.02)
+        a = CorpusGenerator(CorpusConfig().scaled(0.02)).generate()
+        b = CorpusGenerator(CorpusConfig().scaled(0.02)).generate()
         assert [p.body for p in a.raw_posts[:50]] == [
             p.body for p in b.raw_posts[:50]
         ]
@@ -137,8 +136,8 @@ class TestGenerate:
             assert state["uinteger"] == numpy_state["uinteger"]
 
     def test_seed_changes_output(self):
-        a = generate_corpus(scale=0.02)
-        b = generate_corpus(scale=0.02, seed=99)
+        a = CorpusGenerator(CorpusConfig().scaled(0.02)).generate()
+        b = CorpusGenerator(CorpusConfig(seed=99).scaled(0.02)).generate()
         assert [p.body for p in a.raw_posts[:50]] != [
             p.body for p in b.raw_posts[:50]
         ]
@@ -151,15 +150,6 @@ class TestGenerate:
             assert all(a < b for a, b in zip(times, times[1:]))
 
 
-class TestGenerateCorpusHelper:
-    def test_overrides_forwarded(self):
-        corpus = generate_corpus(scale=0.02, lexical_strength=0.9)
-        assert corpus.config.lexical_strength == 0.9
-
     def test_scale_one_uses_paper_sizes(self):
         gen = CorpusGenerator(CorpusConfig())
         assert gen.config.num_users == 1265
-
-    def test_bad_override_raises(self):
-        with pytest.raises(TypeError):
-            generate_corpus(scale=0.02, not_a_field=1)

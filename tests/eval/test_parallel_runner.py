@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import perf
 from repro.boosting import GBMParams
 from repro.core.errors import ExperimentError
 from repro.eval.runner import _default_jobs, run_jobs, run_repeated
@@ -87,6 +88,18 @@ class TestParallelEquivalence:
     def test_single_seed_stays_serial(self, small_splits):
         result = run_repeated("logreg", small_splits, seeds=(0,), n_jobs=4)
         assert len(result.reports) == 1
+
+
+class TestWorkerSpans:
+    def test_worker_spans_reach_the_parent(self, small_splits):
+        jobs = _mixed_jobs(small_splits)
+        perf.reset()
+        run_jobs(jobs, n_jobs=2)
+        spans = perf.snapshot()["spans"]
+        for model, _ in jobs:
+            entry = spans[f"eval.run_jobs/models.fit.{model.name.lower()}"]
+            assert entry["calls"] == 1
+            assert entry["total_s"] > 0
 
 
 class TestWorkerFailure:

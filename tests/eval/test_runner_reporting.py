@@ -1,14 +1,12 @@
 """Tests for the multi-run runner and report exporters."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.boosting import GBMParams
 from repro.core.errors import ExperimentError
 from repro.eval.metrics import EvalReport
-from repro.eval.reporting import to_csv, to_json, to_markdown
+from repro.eval.reporting import to_markdown
 from repro.eval.runner import MultiRunResult, evaluate, run_repeated
 from repro.models import create_model
 
@@ -30,21 +28,6 @@ class TestReporting:
         assert len(lines) == 4
         assert lines[0].startswith("| Model")
         assert "ModelA" in md and "ModelB" in md
-
-    def test_csv_parses(self, reports):
-        import csv as _csv
-        import io
-
-        rows = list(_csv.DictReader(io.StringIO(to_csv(reports))))
-        assert len(rows) == 2
-        assert rows[1]["Acc_pct"] == "100.0"
-
-    def test_json_roundtrip(self, reports):
-        payload = json.loads(to_json(reports))
-        assert payload[0]["model"] == "ModelA"
-        assert payload[1]["accuracy"] == 1.0
-        assert len(payload[0]["confusion"]) == 4
-        assert set(payload[0]["class_f1"]) == {"IN", "ID", "BR", "AT"}
 
 
 class TestRunner:

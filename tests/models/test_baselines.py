@@ -18,9 +18,7 @@ from repro.models import (
     TimeAwareBiLSTM,
     TrainerConfig,
     XGBoostBaseline,
-    available_models,
     create_model,
-    register_model,
 )
 from repro.models.deberta import DebertaRiskModel
 
@@ -52,22 +50,12 @@ def tiny_splits(small_dataset):
 
 
 class TestRegistry:
-    def test_available_models_order(self):
-        assert available_models() == list(TABLE3_ORDER)
-
     def test_create_model_case_insensitive(self):
         assert create_model("XGBoost").name == "XGBoost"
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ModelError):
             create_model("gpt7")
-
-    def test_register_custom(self):
-        class Dummy(XGBoostBaseline):
-            name = "Dummy"
-
-        register_model("dummy", Dummy)
-        assert create_model("dummy").name == "Dummy"
 
 
 @pytest.mark.parametrize("name", TABLE3_ORDER)

@@ -8,7 +8,6 @@ from repro.models.neural_common import (
     TrainerConfig,
     bucketed_batches,
     flat_lengths,
-    pad_waste_ratio,
     predict_classifier,
     predict_proba_classifier,
 )
@@ -33,32 +32,6 @@ def test_bucketed_batches_stable_for_ties():
     lengths = np.array([4, 4, 4, 4])
     batches = bucketed_batches(lengths, batch_size=2)
     assert np.concatenate(batches).tolist() == [0, 1, 2, 3]
-
-
-def test_pad_waste_ratio_zero_for_uniform_lengths():
-    lengths = np.full(10, 7)
-    assert pad_waste_ratio(lengths, batch_size=4) == 0.0
-
-
-def test_pad_waste_ratio_reduced_by_bucketing():
-    # Alternating short/long: every unsorted batch pads shorts to 100.
-    lengths = np.array([10, 100] * 16)
-    unbucketed = pad_waste_ratio(lengths, batch_size=4)
-    bucketed = pad_waste_ratio(lengths, batch_size=4, bucket_by_length=True)
-    assert bucketed < unbucketed
-    assert bucketed == 0.0  # perfect split: all-10 and all-100 batches
-
-
-def test_pad_waste_ratio_respects_max_len():
-    lengths = np.array([50, 500])
-    # Capped at 100, the long row stops inflating the batch width.
-    assert pad_waste_ratio(lengths, 2, max_len=100) == pytest.approx(
-        1.0 - 150 / 200
-    )
-
-
-def test_pad_waste_ratio_empty():
-    assert pad_waste_ratio(np.array([], dtype=np.int64), 4) == 0.0
 
 
 def test_flat_lengths_counts_eos_per_post(small_splits):

@@ -57,7 +57,8 @@ class TestMultiHeadAttention:
     def test_gradients_reach_all_projections(self, rng):
         mha = MultiHeadAttention(8, 2, rng, dropout=0.0)
         x = Tensor(np.random.default_rng(3).normal(size=(2, 4, 8)))
-        (mha(x) ** 2).mean().backward()
+        out = mha(x)
+        (out * out).mean().backward()
         for name, param in mha.named_parameters():
             assert param.grad is not None, name
 
@@ -78,7 +79,8 @@ class TestTemporalDecayAttention:
         attn = TemporalDecayAttention(8, 2, rng, dropout=0.0)
         x = Tensor(np.random.default_rng(5).normal(size=(1, 4, 8)))
         hours = np.arange(4, dtype=float)[None, :]
-        (attn(x, hours) ** 2).mean().backward()
+        out = attn(x, hours)
+        (out * out).mean().backward()
         assert attn.decay.grad is not None
 
 
@@ -115,7 +117,8 @@ class TestDisentangledAttention:
     def test_rel_embedding_gradient(self, rng):
         attn = DisentangledSelfAttention(8, 2, 4, rng, dropout=0.0)
         x = Tensor(np.random.default_rng(8).normal(size=(1, 5, 8)))
-        (attn(x) ** 2).mean().backward()
+        out = attn(x)
+        (out * out).mean().backward()
         assert attn.rel_embed.grad is not None
         assert np.abs(attn.rel_embed.grad).sum() > 0
 

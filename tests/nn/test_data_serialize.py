@@ -1,9 +1,6 @@
-"""Tests for batching and padding utilities."""
+"""Tests for the padding utility."""
 
-import numpy as np
-import pytest
-
-from repro.nn import batches, pad_sequences
+from repro.nn import pad_sequences
 
 
 class TestPadSequences:
@@ -23,23 +20,3 @@ class TestPadSequences:
     def test_custom_pad_value(self):
         ids, _ = pad_sequences([[1], [2, 3]], pad_value=9)
         assert ids[0, 1] == 9
-
-
-class TestBatches:
-    def test_covers_everything_once(self):
-        seen = np.concatenate(list(batches(10, 3)))
-        assert sorted(seen.tolist()) == list(range(10))
-
-    def test_shuffled_with_rng(self, rng):
-        order = np.concatenate(list(batches(50, 10, rng=rng)))
-        assert sorted(order.tolist()) == list(range(50))
-        assert order.tolist() != list(range(50))
-
-    def test_drop_last(self):
-        got = list(batches(10, 3, drop_last=True))
-        assert all(len(b) == 3 for b in got)
-        assert len(got) == 3
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            list(batches(10, 0))

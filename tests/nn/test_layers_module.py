@@ -8,11 +8,17 @@ from repro.nn import (
     Embedding,
     LayerNorm,
     Linear,
-    Sequential,
-    Tanh,
     Tensor,
 )
 from repro.nn.module import Module, ModuleList, Parameter
+
+
+class TwoLayer(Module):
+    def __init__(self, rng):
+        super().__init__()
+        self.dropout = Dropout(0.5, rng)
+        self.inner = Linear(3, 4, rng)
+        self.outer = Linear(4, 2, rng)
 
 
 class TestModule:
@@ -22,9 +28,9 @@ class TestModule:
         assert set(names) == {"weight", "bias"}
 
     def test_nested_registration(self, rng):
-        model = Sequential(Linear(3, 4, rng), Tanh(), Linear(4, 2, rng))
+        model = TwoLayer(rng)
         names = list(dict(model.named_parameters()))
-        assert "0.weight" in names and "2.bias" in names
+        assert "inner.weight" in names and "outer.bias" in names
 
     def test_parameters_deduplicated(self, rng):
         class Shared(Module):
@@ -60,7 +66,7 @@ class TestModule:
             Linear(3, 4, rng).load_state_dict(state)
 
     def test_train_eval_propagates(self, rng):
-        model = Sequential(Dropout(0.5, rng), Linear(2, 2, rng))
+        model = TwoLayer(rng)
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()

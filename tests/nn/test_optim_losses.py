@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.errors import ShapeError
 from repro.nn import (
-    SGD,
     Adam,
     IGNORE_INDEX,
     Tensor,
@@ -20,53 +19,13 @@ def quadratic_params():
     return [Parameter(np.array([5.0, -3.0]))]
 
 
-class TestSGD:
-    def test_descends_quadratic(self):
-        params = quadratic_params()
-        opt = SGD(params, lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            (params[0] ** 2).sum().backward()
-            opt.step()
-        assert np.abs(params[0].data).max() < 1e-3
-
-    def test_momentum_accelerates(self):
-        slow = quadratic_params()
-        fast = quadratic_params()
-        for _ in range(20):
-            for params, opt in (
-                (slow, SGD(slow, lr=0.01)),
-                (fast, SGD(fast, lr=0.01, momentum=0.9)),
-            ):
-                pass
-        # run properly: persistent optimizers
-        slow = quadratic_params()
-        fast = quadratic_params()
-        opt_slow = SGD(slow, lr=0.01)
-        opt_fast = SGD(fast, lr=0.01, momentum=0.9)
-        for _ in range(50):
-            for params, opt in ((slow, opt_slow), (fast, opt_fast)):
-                opt.zero_grad()
-                (params[0] ** 2).sum().backward()
-                opt.step()
-        assert np.abs(fast[0].data).sum() < np.abs(slow[0].data).sum()
-
-    def test_empty_params_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_bad_lr_rejected(self):
-        with pytest.raises(ValueError):
-            SGD(quadratic_params(), lr=0.0)
-
-
 class TestAdam:
     def test_descends_quadratic(self):
         params = quadratic_params()
         opt = Adam(params, lr=0.2)
         for _ in range(200):
             opt.zero_grad()
-            (params[0] ** 2).sum().backward()
+            (params[0] * params[0]).sum().backward()
             opt.step()
         assert np.abs(params[0].data).max() < 1e-2
 
@@ -74,6 +33,15 @@ class TestAdam:
         p = Parameter(np.ones(2))
         Adam([p], lr=0.1).step()  # no grad -> no movement
         assert np.allclose(p.data, 1.0)
+
+    def test_empty_params_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+
+    def test_bad_lr_rejected(self):
+        with pytest.raises(ValueError):
+            Adam(quadratic_params(), lr=0.0)
+
 
 class TestClip:
     def test_scales_to_max_norm(self):

@@ -15,6 +15,10 @@ from repro.nn.optim import clip_grad_norm
 from repro.nn.tensor import MASKED_SCORE, Tensor, layer_norm, linear, no_grad
 
 
+def square_sum(t):
+    return (t * t).sum()
+
+
 def numerical_grad(fn, x, eps=1e-6):
     """Central-difference gradient of scalar-valued fn wrt array x."""
     grad = np.zeros_like(x)
@@ -57,20 +61,9 @@ class TestElementwiseGrads:
         data = RNG.normal(size=(3, 4)) + 5.0
         check_grad(lambda x: ((x - 1.0) / (x + 10.0)).sum(), data)
 
-    def test_pow(self):
-        data = np.abs(RNG.normal(size=(5,))) + 0.5
-        check_grad(lambda x: (x**3).sum(), data)
-
-    def test_exp_log_sqrt(self):
-        data = np.abs(RNG.normal(size=(4,))) + 0.5
-        check_grad(lambda x: (x.exp().log() + x.sqrt()).sum(), data)
-
-    def test_tanh_sigmoid_relu(self):
+    def test_tanh_sigmoid(self):
         data = RNG.normal(size=(6,))
         check_grad(lambda x: (x.tanh() + x.sigmoid()).sum(), data)
-        # relu grad away from the kink
-        data = data + np.sign(data) * 0.1
-        check_grad(lambda x: x.relu().sum(), data)
 
     def test_gelu(self):
         data = RNG.normal(size=(6,))
@@ -193,19 +186,6 @@ class TestReductionGrads:
         x.mean().backward()
         assert np.allclose(x.grad, 1.0 / 16)
 
-    def test_max(self):
-        data = np.array([[1.0, 5.0, 2.0], [7.0, 3.0, 0.0]])
-        x = Tensor(data, requires_grad=True)
-        x.max(axis=1).sum().backward()
-        expected = np.array([[0, 1, 0], [1, 0, 0]], dtype=float)
-        assert np.allclose(x.grad, expected)
-
-    def test_max_tie_splitting(self):
-        data = np.array([[2.0, 2.0]])
-        x = Tensor(data, requires_grad=True)
-        x.max(axis=1).sum().backward()
-        assert np.allclose(x.grad, [[0.5, 0.5]])
-
 
 class TestShapeOps:
     @pytest.mark.usefixtures("float64_twin")
@@ -215,7 +195,7 @@ class TestShapeOps:
     @pytest.mark.usefixtures("float64_twin")
     def test_transpose_grad(self):
         a = RNG.normal(size=(2, 3, 4))
-        check_grad(lambda x: (x.transpose(2, 0, 1) ** 2).sum(), a)
+        check_grad(lambda x: square_sum(x.transpose(2, 0, 1)), a)
 
     def test_swapaxes(self):
         a = RNG.normal(size=(2, 3))
@@ -286,12 +266,12 @@ class TestSoftmaxFamily:
     @pytest.mark.usefixtures("float64_twin")
     def test_log_softmax_grad(self):
         a = RNG.normal(size=(3, 5))
-        check_grad(lambda x: (x.log_softmax(axis=-1) ** 2).sum(), a, tol=1e-6)
+        check_grad(lambda x: square_sum(x.log_softmax(axis=-1)), a, tol=1e-6)
 
     @pytest.mark.usefixtures("float64_twin")
     def test_softmax_grad(self):
         a = RNG.normal(size=(3, 5))
-        check_grad(lambda x: (x.softmax(axis=-1) ** 2).sum(), a, tol=1e-6)
+        check_grad(lambda x: square_sum(x.softmax(axis=-1)), a, tol=1e-6)
 
     def test_softmax_stability(self):
         x = Tensor(np.array([[1000.0, 1000.0]]))
@@ -372,12 +352,23 @@ class TestLinear:
             assert np.array_equal(a.grad, b.grad)
 
 
+def power(x, exponent):
+    """``x ** exponent`` as one autograd node, as the op-by-op LayerNorm
+    built it."""
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(grad * exponent * x.data ** (exponent - 1))
+
+    return Tensor._make(x.data**exponent, (x,), backward)
+
+
 def composite_layer_norm(x, gamma, beta, eps):
     """The op-by-op LayerNorm that :func:`layer_norm` replaced."""
     mu = x.mean(axis=-1, keepdims=True)
     centred = x - mu
     var = (centred * centred).mean(axis=-1, keepdims=True)
-    return centred * ((var + eps) ** -0.5) * gamma + beta
+    return centred * power(var + eps, -0.5) * gamma + beta
 
 
 @pytest.mark.usefixtures("float64_twin")

@@ -86,6 +86,50 @@ class TestRenderPrometheus:
         assert text.splitlines()[0] == f"# HELP repro_a_b_total {help_text}"
         validate_prometheus(text)
 
+    def test_paths_that_sanitise_alike_get_distinct_names(self):
+        families = validate_prometheus(
+            render_prometheus({"counters": {"a.b": 1, "a_b": 2}})
+        )
+        assert sorted(v for samples in families.values() for _, v in samples) \
+            == [1, 2]
+
+    def test_gauge_and_observation_on_one_path(self):
+        reg = PerfRegistry()
+        reg.gauge("x", 1)
+        reg.observe("x", 0.1)
+        families = validate_prometheus(render_prometheus(reg.snapshot()))
+        assert len(families) == 2
+
+    def test_sample_names_of_different_kinds_do_not_clash(self):
+        reg = PerfRegistry()
+        reg.observe("h", 0.1)
+        text = render_prometheus({
+            # a span total with no histogram renders as a counter
+            "spans": {"x": {"total_s": 1.5, "calls": 2}},
+            "counters": {"x_seconds": 3},
+            "gauges": {"h_count": 2.0, "h_bucket": 5.0, "other": 1.0},
+            "observations": reg.snapshot()["observations"],
+        })
+        samples = [line.split(" ")[0] for line in text.splitlines()
+                   if not line.startswith("#")]
+        assert len(samples) == len(set(samples))
+        assert len(validate_prometheus(text)) == 6
+        assert "repro_other 1.0" in text.splitlines()
+
+    def test_added_span_totals_render_valid(self):
+        """Totals from another process add calls and seconds, not
+        histogram samples, so the histogram stays self-consistent."""
+        reg = PerfRegistry()
+        with reg.span("fit"):
+            pass
+        reg.add_span("fit", 2, 1.5)
+        reg.add_span("worker_only", 1, 0.5)
+        snap = reg.snapshot()
+        assert snap["spans"]["fit"]["calls"] == 3
+        assert snap["spans"]["fit"]["hist"]["count"] == 1
+        families = validate_prometheus(render_prometheus(snap))
+        assert families["repro_worker_only_seconds_total"] == [({}, 0.5)]
+
     @pytest.mark.parametrize("kind", ["count", "gauge", "span", "observe"])
     @given(path=st.text(max_size=12))
     @settings(max_examples=40, deadline=None)

@@ -87,22 +87,16 @@ class TestTimeTags:
 
 class TestTimeEncoder:
     def test_dim_consistency(self):
-        encoder = TimeEncoder(include_tags=True)
+        encoder = TimeEncoder()
         posts = [make_post(T0 + timedelta(hours=i), f"p{i}") for i in range(4)]
         matrix = encoder.encode_window(posts)
         assert matrix.shape == (4, encoder.dim)
 
-    def test_without_tags(self):
-        with_tags = TimeEncoder(include_tags=True)
-        without = TimeEncoder(include_tags=False)
-        assert with_tags.dim - without.dim == 2
-
     def test_empty_window(self):
         assert TimeEncoder().encode_window([]).shape[0] == 0
 
-    @pytest.mark.parametrize("include_tags", [True, False])
-    def test_bitwise_equal_to_reference(self, include_tags, small_dataset):
-        encoder = TimeEncoder(include_tags=include_tags)
+    def test_bitwise_equal_to_reference(self, small_dataset):
+        encoder = TimeEncoder()
         windows = [[make_post(T0, "p0")]]
         # equal timestamps, out-of-order posts (negative gaps), month and
         # year boundaries, night and weekend hours
