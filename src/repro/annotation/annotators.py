@@ -23,6 +23,9 @@ from repro.core.schema import NUM_CLASSES, RiskLevel
 #: decaying with severity distance.
 ADJACENCY_DECAY = 0.35
 
+#: Generator.choice's tolerance on the sum of ``p``.
+_ROW_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
 
 def confusion_matrix(accuracy: float, skill_jitter: float = 0.0) -> np.ndarray:
     """Row-stochastic confusion matrix with the given diagonal accuracy.
@@ -45,7 +48,34 @@ def confusion_matrix(accuracy: float, skill_jitter: float = 0.0) -> np.ndarray:
         weights = weights / weights.sum() * (1.0 - diag)
         matrix[i] = weights
         matrix[i, i] = diag
+    # The checks Generator.choice would make of every row drawn from;
+    # draw_class skips them.
+    if not (
+        np.isfinite(matrix).all()
+        and (matrix >= 0.0).all()
+        and np.allclose(matrix.sum(axis=1), 1.0, rtol=0.0, atol=_ROW_ATOL)
+    ):
+        raise ValueError("confusion matrix rows must be probability vectors")
     return matrix
+
+
+def draw_class(rng: np.random.Generator, row: np.ndarray) -> int:
+    """``rng.choice(NUM_CLASSES, p=row)``, drawn by numpy's own steps.
+
+    ``choice`` normalises the cumulative sum of ``p`` and searches one
+    uniform draw in it, after checks of ``p`` that take most of its time.
+    The same steps here give the same class and leave ``rng`` in the same
+    state. ``row`` must be a probability vector, which
+    :func:`confusion_matrix` checks where the rows are built.
+    """
+    cdf = row.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def draw_class_reference(rng: np.random.Generator, row: np.ndarray) -> int:
+    """Reference twin of :func:`draw_class`: ``Generator.choice`` itself."""
+    return int(rng.choice(NUM_CLASSES, p=row))
 
 
 @dataclass
@@ -95,16 +125,18 @@ class SimulatedAnnotator:
         the error rate: truly ambiguous posts are precisely the ones
         annotators disagree on and report upward.
         """
+        if not 0.0 <= ambiguity <= 1.0:
+            raise ValueError(f"ambiguity must be in [0, 1], got {ambiguity}")
         escalate_p = min(0.95, self.uncertainty_rate * (1.0 + 6.0 * ambiguity))
         if self._rng.random() < escalate_p:
             self.items_escalated += 1
             return Judgement(label=None, uncertain=True)
-        row = self._confusion[int(true_label)].copy()
+        row = self._confusion[int(true_label)]
         if ambiguity > 0:
             # Ambiguity flattens the judgement distribution.
             row = (1.0 - 0.5 * ambiguity) * row + 0.5 * ambiguity / NUM_CLASSES
             row = row / row.sum()
-        choice = int(self._rng.choice(NUM_CLASSES, p=row))
+        choice = draw_class(self._rng, row)
         self.items_labelled += 1
         return Judgement(label=RiskLevel(choice), uncertain=False)
 
@@ -125,7 +157,7 @@ class SimulatedAnnotator:
         row = self._confusion[int(true_label)].copy()
         row[int(true_label)] = 0.0
         row = row / row.sum()
-        return RiskLevel(int(self._rng.choice(NUM_CLASSES, p=row)))
+        return RiskLevel(draw_class(self._rng, row))
 
 
 class ExpertSupervisor:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.core.schema import RiskLevel
 from repro.corpus.models import RedditPost
 from repro.annotation.agreement import fleiss_kappa_from_annotations
 from repro.annotation.annotators import ExpertSupervisor, SimulatedAnnotator
-from repro.annotation.platform import LabelingProject, TaskStatus
+from repro.annotation.platform import LabelingProject
 
 
 @dataclass

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.dataset import RSD15K
-from repro.core.schema import RiskLevel
 
 
 @dataclass(frozen=True)

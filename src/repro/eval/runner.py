@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,9 @@ from repro.models.registry import create_model
 #: Worker count of :func:`run_jobs` when ``n_jobs`` is not passed; unset
 #: or 1 keeps the serial path.
 SEED_JOBS_ENV = "REPRO_SEED_JOBS"
+
+#: Thread-count variables a BLAS library reads once, when numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _default_jobs() -> int:
@@ -98,15 +102,48 @@ def evaluate(model: RiskModel, splits: WindowSplits) -> EvalReport:
 
 def _evaluate_in_worker(
     model: RiskModel, splits: WindowSplits
-) -> tuple[EvalReport, dict[str, tuple[int, float]]]:
+) -> tuple[EvalReport, dict[str, tuple[int, float]], dict[str, int]]:
     """:func:`evaluate` in a pool worker, plus the ``(calls, seconds)``
-    of every span the job recorded in the worker's registry."""
+    of every span and the value of every counter the job recorded in the
+    worker's registry."""
     perf.reset()
     report = evaluate(model, splits)
-    spans = perf.snapshot()["spans"]
-    return report, {
-        path: (entry["calls"], entry["total_s"]) for path, entry in spans.items()
+    snapshot = perf.snapshot()
+    spans = {
+        path: (entry["calls"], entry["total_s"])
+        for path, entry in snapshot["spans"].items()
     }
+    return report, spans, snapshot["counters"]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _blas_threads_capped(threads: int) -> Iterator[None]:
+    """Cap every :data:`BLAS_THREAD_VARS` entry at ``threads`` (a lower
+    value already set stays) until the block ends.
+
+    Spawned workers copy the environment when they start and their BLAS
+    reads it when numpy loads, before any job code runs; the parent's
+    BLAS has long been loaded and keeps its threads.
+    """
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    for name, value in saved.items():
+        current = int(value) if value and value.isdigit() else threads
+        os.environ[name] = str(max(1, min(current, threads)))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def run_jobs(
@@ -133,16 +170,20 @@ def run_jobs(
         if workers == 1 or len(jobs) <= 1:
             reports = [evaluate(model, splits) for model, splits in jobs]
         else:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs)),
-                mp_context=multiprocessing.get_context("spawn"),
-            ) as pool:
+            workers = min(workers, len(jobs))
+            with _blas_threads_capped(max(1, _usable_cpus() // workers)), \
+                    ProcessPoolExecutor(
+                        max_workers=workers,
+                        mp_context=multiprocessing.get_context("spawn"),
+                    ) as pool:
                 results = list(pool.map(_evaluate_in_worker, *zip(*jobs)))
             registry = perf.get_registry()
-            for _, spans in results:
+            for _, spans, counters in results:
                 for path, (calls, total_s) in spans.items():
                     registry.add_span(path, calls, total_s)
-            reports = [report for report, _ in results]
+                for path, n in counters.items():
+                    registry.count(path, n)
+            reports = [report for report, _, _ in results]
         perf.count("eval.jobs", len(jobs))
     return reports
 

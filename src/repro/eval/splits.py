@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import SplitConfig
 from repro.core.errors import SplitError
 from repro.core.rng import stream

@@ -17,7 +17,7 @@ import numpy as np
 from repro import perf
 from repro.core.errors import NotFittedError
 from repro.temporal.features import TemporalStats, temporal_stats
-from repro.text.stats import TextStats, stats_matrix, text_stats
+from repro.text.stats import TextStats, stats_matrix
 from repro.text.tfidf import TfidfVectorizer
 from repro.temporal.windows import PostWindow
 

@@ -17,7 +17,6 @@ from repro.core.rng import SeedSequenceRegistry
 from repro.eval.metrics import macro_f1
 from repro.nn import (
     Adam,
-    Tensor,
     WarmupLinearDecay,
     clip_grad_norm,
     cross_entropy,

@@ -292,13 +292,14 @@ def relative_scatter_reference(
     grad: np.ndarray, max_distance: int, transpose: bool = False
 ) -> np.ndarray:
     """Reference twin of :func:`relative_scatter`: the generic fancy-index
-    scatter, one ``np.add.at`` over ``(…, rows, idx)``."""
+    scatter, one ``np.add.at`` over ``(…, rows, idx)``, summed in float64
+    and cast back to the gradient's dtype as the fast path does."""
     *lead_shape, length, _ = grad.shape
     rows = np.arange(length)[:, None]
     idx = relative_position_index(length, max_distance)
-    full = np.zeros((*lead_shape, length, 2 * max_distance + 1), dtype=grad.dtype)
+    full = np.zeros((*lead_shape, length, 2 * max_distance + 1))
     np.add.at(full, (..., rows, idx), grad.swapaxes(-1, -2) if transpose else grad)
-    return full
+    return full.astype(grad.dtype, copy=False)
 
 
 def relative_gather(

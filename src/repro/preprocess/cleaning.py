@@ -32,6 +32,8 @@ _RELEVANCE_TERMS = (
     "be alive", "no plan", "support", "resources", "help", "safe",
     "counselor", "hurting", "struggle", "off my chest", "gone",
 )
+#: Finds any one relevance term in a single pass.
+_ANY_TERM_RE = re.compile("|".join(map(re.escape, _RELEVANCE_TERMS)))
 
 #: Patterns typical of commercial / off-topic content (regexes, word-bounded
 #: where a bare word would otherwise shadow distress vocabulary).
@@ -60,16 +62,35 @@ def strip_noise(text: str) -> str:
     """Remove URLs, zero-width chars, hashtag runs, repeated punctuation."""
     text = unicodedata.normalize("NFKC", text)
     text = text.translate(_ZERO_WIDTH)
-    # The two slow substitutions run only where they can match: a URL
-    # needs "://" or a case-insensitive "www.", a hashtag run needs "#".
+    # Each substitution runs only where it can match: a URL needs "://"
+    # or a case-insensitive "www.", a hashtag run "#", a bracket tag "[",
+    # a punctuation run three equal characters.
     if "://" in text or "www." in text.lower():
         text = _URL_RE.sub(" ", text)
     if "#" in text:
         text = _HASHTAG_RE.sub(" ", text)
-    text = _BRACKET_TAG_RE.sub(" ", text)
-    text = _REPEAT_PUNCT_RE.sub(r"\1", text)
+    if "[" in text:
+        text = _BRACKET_TAG_RE.sub(" ", text)
+    if "!!!" in text or "???" in text or "..." in text or ",,," in text:
+        text = _REPEAT_PUNCT_RE.sub(r"\1", text)
     # str.split() and the regex \s agree on every code point.
     return " ".join(text.split())
+
+
+def strip_noise_reference(text: str) -> str:
+    """Reference twin of :func:`strip_noise`: every substitution, always,
+    and whitespace collapsed by regex."""
+    text = unicodedata.normalize("NFKC", text).translate(_ZERO_WIDTH)
+    text = _URL_RE.sub(" ", text)
+    text = _HASHTAG_RE.sub(" ", text)
+    text = _BRACKET_TAG_RE.sub(" ", text)
+    text = _REPEAT_PUNCT_RE.sub(r"\1", text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def _score(raw: int) -> float:
+    """Relevance score of ``raw`` = hits − 2·penalties."""
+    return max(0.0, min(1.0, raw / 3.0))
 
 
 def relevance_score(text: str) -> float:
@@ -83,12 +104,28 @@ def relevance_score(text: str) -> float:
     penalties = 0
     if not lowered.isascii() or _OFFTOPIC_GATE.search(lowered):
         penalties = sum(1 for pat in _OFFTOPIC_PATTERNS if pat.search(lowered))
-    raw = hits - 2 * penalties
-    return max(0.0, min(1.0, raw / 3.0))
+    return _score(hits - 2 * penalties)
 
 
 def is_relevant(text: str, threshold: float = 0.3) -> bool:
-    """Whether a post passes the suicide-risk-theme relevance filter."""
+    """Whether a post passes the suicide-risk-theme relevance filter.
+
+    When one term hit is the fewest that clears ``threshold`` (as at the
+    default) and the text is lower-cased ASCII that the off-topic gate
+    clears, no penalty applies and the score grows with the hits, so one
+    alternation search over every term answers. Any other text or
+    threshold takes :func:`relevance_score`. Equal to
+    :func:`is_relevant_reference` on every text and threshold.
+    """
+    if not _score(0) >= threshold and _score(1) >= threshold:
+        lowered = text.lower()
+        if lowered.isascii() and not _OFFTOPIC_GATE.search(lowered):
+            return _ANY_TERM_RE.search(lowered) is not None
+    return relevance_score(text) >= threshold
+
+
+def is_relevant_reference(text: str, threshold: float = 0.3) -> bool:
+    """Reference twin of :func:`is_relevant`: the full score, compared."""
     return relevance_score(text) >= threshold
 
 

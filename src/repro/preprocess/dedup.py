@@ -28,6 +28,12 @@ _MAX_HASH = (1 << 32) - 1
 #: (on a 2-CPU x86 host, 512–2048 rows ran fastest and 8192 took 1.7x as
 #: long) and keeps the build's peak memory where the per-post loop had it.
 _BLOCK_ROWS = 1024
+#: Most values in one permutation slice of the distinct-shingle table of
+#: :meth:`MinHasher.signatures`: one block's worth at 64 permutations, so
+#: the table adds no more to peak memory than a block does. A table four
+#: times as large hashed 1.6x faster at scale 1.0 but raised the peak RSS
+#: of a scale-0.05 build by about 1 MB.
+_TABLE_VALUES = _BLOCK_ROWS * 64
 
 
 def normalised_fingerprint(text: str) -> str:
@@ -80,40 +86,53 @@ class MinHasher:
     def signatures(self, shingle_sets: Sequence[set[str]]) -> np.ndarray:
         """MinHash signatures of many sets, shape ``(len(shingle_sets), num_perm)``.
 
-        Each distinct shingle is hashed once per call (templated text
-        repeats most shingles across posts). The sets' shingles then go
-        through ``(a·x + b) mod p`` in blocks of at most ``_BLOCK_ROWS``
-        rows (a larger set is a block of its own), and one
-        ``np.minimum.reduceat`` per block takes every set's column
-        minimum. uint64 arithmetic wraps identically here and in
+        Templated text repeats most shingles across posts, so each
+        distinct shingle is hashed, and put through ``(a·x + b) mod p``,
+        once per call. That runs for a slice of the permutations at a
+        time: the ``(distinct, slice)`` table holds at most
+        ``_TABLE_VALUES`` values. The sets' rows of the table are
+        gathered in blocks of at most ``_BLOCK_ROWS · num_perm / slice``
+        rows (so a block holds as many values as ``_BLOCK_ROWS`` rows of
+        every permutation; a larger set is a block of its own), and one
+        ``np.minimum.reduceat`` per block takes every set's minimum.
+        uint64 arithmetic wraps identically here and in
         :meth:`_signature_reference`, and a minimum does not depend on
         the order it is taken in, so signatures are bitwise equal.
         """
-        distinct = dict.fromkeys(chain.from_iterable(shingle_sets))
-        index = {shingle: row for row, shingle in enumerate(distinct)}
-        base = self._base_hashes(distinct)[
-            np.fromiter(
-                map(index.__getitem__, chain.from_iterable(shingle_sets)),
-                dtype=np.intp,
-            )
-        ]
+        index: dict[str, int] = {}
+        first_seen = index.setdefault
+        rows = np.fromiter(
+            (first_seen(s, len(index)) for s in chain.from_iterable(shingle_sets)),
+            dtype=np.intp,
+        )
+        base = self._base_hashes(index)
         sizes = np.fromiter(map(len, shingle_sets), dtype=np.intp)
         ends = np.cumsum(sizes)
         starts = ends - sizes
-        sigs = np.full((len(sizes), self.num_perm), _MAX_HASH, dtype=np.uint64)
+        width = min(self.num_perm, max(1, _TABLE_VALUES // max(1, base.size)))
+        block_rows = _BLOCK_ROWS * self.num_perm // width
+        # Blocks of whole sets: (sets with shingles, first row, row stop).
+        blocks = []
         first = 0
         while first < len(sizes):
             stop = max(
                 first + 1,
-                int(np.searchsorted(ends, starts[first] + _BLOCK_ROWS, "right")),
+                int(np.searchsorted(ends, starts[first] + block_rows, "right")),
             )
             filled = first + np.flatnonzero(sizes[first:stop])
             if filled.size:
-                lo = starts[filled[0]]
-                block = base[lo : ends[stop - 1], None]
-                hashed = (self._a[None, :] * block + self._b[None, :]) % _MERSENNE_PRIME
-                sigs[filled] = np.minimum.reduceat(hashed, starts[filled] - lo)
+                blocks.append((filled, starts[filled[0]], ends[stop - 1]))
             first = stop
+        sigs = np.full((len(sizes), self.num_perm), _MAX_HASH, dtype=np.uint64)
+        for lo_perm in range(0, self.num_perm, width):
+            perms = slice(lo_perm, lo_perm + width)
+            table = self._a[None, perms] * base[:, None]
+            table += self._b[None, perms]
+            table %= _MERSENNE_PRIME
+            for filled, lo, hi in blocks:
+                sigs[filled, perms] = np.minimum.reduceat(
+                    table[rows[lo:hi]], starts[filled] - lo
+                )
         return sigs & np.uint64(_MAX_HASH)
 
     def signature(self, shingle_set: set[str]) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.annotation import annotators as annotators_module
 from repro.annotation.annotators import (
     ExpertSupervisor,
     SimulatedAnnotator,
     confusion_matrix,
+    draw_class,
+    draw_class_reference,
 )
 from repro.core.schema import NUM_CLASSES, RiskLevel
 
@@ -37,6 +42,91 @@ class TestConfusionMatrix:
     def test_jitter_clipped(self):
         matrix = confusion_matrix(0.95, skill_jitter=0.5)
         assert np.diag(matrix).max() <= 0.999
+
+
+class TestDrawClass:
+    def test_equals_generator_choice(self):
+        """Same class and same end state as ``Generator.choice`` over
+        random rows, zero entries and one-hot rows included."""
+        rows_rng = np.random.default_rng(0)
+        fast, reference = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2000):
+            row = rows_rng.random(NUM_CLASSES) ** rows_rng.integers(1, 6)
+            row[rows_rng.integers(NUM_CLASSES)] *= rows_rng.integers(0, 2)
+            if rows_rng.random() < 0.05:
+                row = np.eye(NUM_CLASSES)[rows_rng.integers(NUM_CLASSES)]
+            row = row / row.sum()
+            assert draw_class(fast, row) == draw_class_reference(reference, row)
+        assert fast.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=NUM_CLASSES, max_size=NUM_CLASSES)
+        .filter(lambda w: sum(w) > 1e-6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_property_equals_generator_choice(self, weights, seed):
+        row = np.array(weights) / sum(weights)
+        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert draw_class(fast, row) == draw_class_reference(reference, row)
+        assert fast.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("accuracy", [0.6, 0.9, 0.999])
+    def test_annotator_stream_equals_choice(self, accuracy, monkeypatch):
+        """A whole annotator run, ambiguity and review included, labels
+        and leaves its stream exactly as with ``Generator.choice``."""
+        ambiguities = np.random.default_rng(1).random(400)
+
+        def run():
+            annotator = SimulatedAnnotator(
+                "ann", accuracy, 0.1, np.random.default_rng(9), skill_jitter=0.02
+            )
+            labels = [
+                annotator.annotate(RiskLevel(i % NUM_CLASSES), a).label
+                for i, a in enumerate(ambiguities)
+            ] + [
+                annotator.relabel_after_review(RiskLevel(i % NUM_CLASSES), i % 3)
+                for i in range(400)
+            ]
+            return labels, annotator._rng.bit_generator.state
+
+        fast = run()
+        monkeypatch.setattr(annotators_module, "draw_class", draw_class_reference)
+        assert fast == run()
+
+    def test_zero_probability_classes_never_drawn(self):
+        """At an exact step of the cdf, the draw moves past classes of
+        zero probability, as ``Generator.choice`` does."""
+
+        class Uniform:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self):
+                return self.value
+
+        assert draw_class(Uniform(0.0), np.array([0.0, 0.5, 0.5, 0.0])) == 1
+        assert draw_class(Uniform(0.5), np.array([0.5, 0.0, 0.5, 0.0])) == 2
+
+    def test_draws_leave_the_confusion_matrix_intact(self, rng):
+        annotator = SimulatedAnnotator("ann", 0.8, 0.0, rng)
+        before = annotator._confusion.copy()
+        for i in range(200):
+            annotator.annotate(RiskLevel(i % NUM_CLASSES), (i % 3) / 2)
+            annotator.relabel_after_review(RiskLevel(i % NUM_CLASSES))
+        assert np.array_equal(annotator._confusion, before)
+
+    def test_confusion_rows_are_checked(self, monkeypatch):
+        monkeypatch.setattr(annotators_module, "ADJACENCY_DECAY", -0.35)
+        with pytest.raises(ValueError, match="probability vectors"):
+            confusion_matrix(0.9)
+
+    @pytest.mark.parametrize("ambiguity", [-0.1, 1.5, float("nan")])
+    def test_ambiguity_outside_unit_interval_rejected(self, ambiguity, rng):
+        annotator = SimulatedAnnotator("ann", 0.9, 0.0, rng)
+        with pytest.raises(ValueError, match="ambiguity"):
+            annotator.annotate(RiskLevel.IDEATION, ambiguity)
 
 
 class TestSimulatedAnnotator:

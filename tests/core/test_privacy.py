@@ -3,13 +3,18 @@
 from dataclasses import replace
 from datetime import datetime, timezone
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import PrivacyError
 from repro.core.privacy import (
     Anonymizer,
     audit_anonymisation,
     scrub_text,
+    scrub_text_reference,
 )
 from repro.corpus.models import RedditPost
 
@@ -19,6 +24,35 @@ def make_post(pid, author, body):
         post_id=pid, author=author, subreddit="s", title="t", body=body,
         created_utc=datetime(2020, 1, 1, tzinfo=timezone.utc),
     )
+
+
+#: Pieces of text that each pattern of scrub_text matches or nearly matches:
+#: e-mails, mentions, phone runs, SSN shapes (also in non-ASCII digits,
+#: which \d matches), and the characters the gates look for on their own.
+PII_FRAGMENTS = (
+    "someone@example.com", "a.b+c@mail.co.uk", "@friendperson", "@_x1",
+    "@", "@@", "x@y", "u/throwaway123", "/u/name-1", "U/upper", "u/", "u",
+    "555-123-4567", "+1 555 123 4567", "5551234567", "12345", "1-2",
+    "123-45-6789", "١٢٣-٤٥-٦٧٨٩", "١٢٣٤٥٦٧٨", "٣", "-", "--", "9",
+    "hopeless", "tonight", "[REDACTED]", "\n", "\t", " ", "é", "x",
+)
+pii_texts = st.one_of(
+    st.lists(st.sampled_from(PII_FRAGMENTS), max_size=12).map("".join),
+    st.lists(st.sampled_from(PII_FRAGMENTS), max_size=12).map(" ".join),
+    st.text(max_size=60),
+)
+
+
+class TestScrubGates:
+    @settings(max_examples=300, deadline=None)
+    @given(pii_texts)
+    def test_equals_reference(self, text):
+        assert scrub_text(text) == scrub_text_reference(text)
+
+    @pytest.mark.parametrize("text", PII_FRAGMENTS)
+    def test_each_fragment_equals_reference(self, text):
+        for variant in (text, f"call {text} now", f"{text}{text}"):
+            assert scrub_text(variant) == scrub_text_reference(variant)
 
 
 class TestScrubText:
@@ -52,6 +86,13 @@ class TestAnonymizer:
         assert Anonymizer("a").pseudonym("alice", "anon") != Anonymizer(
             "b"
         ).pseudonym("alice", "anon")
+
+    def test_pseudonym_is_the_salted_hash(self):
+        anon = Anonymizer("salt")
+        digest = hashlib.sha256(b"salt:alice").hexdigest()[:12]
+        for _ in range(2):  # computed, then remembered
+            assert anon.pseudonym("alice", "anon") == f"anon_{digest}"
+            assert anon.pseudonym("alice", "p") == f"p_{digest}"
 
     def test_empty_salt_rejected(self):
         with pytest.raises(PrivacyError):

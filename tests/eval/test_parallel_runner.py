@@ -1,6 +1,7 @@
 """The job runner's parallel path must reproduce the serial reports bitwise."""
 
 import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,13 @@ import pytest
 from repro import perf
 from repro.boosting import GBMParams
 from repro.core.errors import ExperimentError
-from repro.eval.runner import _default_jobs, run_jobs, run_repeated
+from repro.eval.runner import (
+    BLAS_THREAD_VARS,
+    _default_jobs,
+    _usable_cpus,
+    run_jobs,
+    run_repeated,
+)
 from repro.models import create_model
 from repro.models.logistic import LogisticBaseline
 from repro.models.neural_common import TrainerConfig
@@ -31,6 +38,14 @@ class _FitFails(LogisticBaseline):
 
     def _fit(self, train, validation):
         raise RuntimeError("fit failed inside the job")
+
+
+class _BlasProbe(LogisticBaseline):
+    """Names its report after the BLAS thread variables its process saw."""
+
+    def _fit(self, train, validation):
+        super()._fit(train, validation)
+        self.name = ",".join(os.environ.get(var, "-") for var in BLAS_THREAD_VARS)
 
 
 def _mixed_jobs(splits):
@@ -100,6 +115,44 @@ class TestWorkerSpans:
             entry = spans[f"eval.run_jobs/models.fit.{model.name.lower()}"]
             assert entry["calls"] == 1
             assert entry["total_s"] > 0
+
+
+    def test_worker_counters_reach_the_parent(self, small_splits):
+        perf.reset()
+        run_jobs(_mixed_jobs(small_splits), n_jobs=1)
+        serial = perf.snapshot()["counters"]
+        perf.reset()
+        run_jobs(_mixed_jobs(small_splits), n_jobs=2)
+        parallel = perf.snapshot()["counters"]
+        assert parallel == serial
+        assert parallel["eval.run_jobs/models.fit.bilstm/nn.epoch/nn.batches"] > 0
+
+
+class TestWorkerBlasThreads:
+    def test_workers_share_the_cpus(self, small_splits, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        reports = run_jobs(
+            [(_BlasProbe(), small_splits), (_BlasProbe(), small_splits)],
+            n_jobs=2,
+        )
+        threads = str(max(1, _usable_cpus() // 2))
+        expected = ",".join([threads] * len(BLAS_THREAD_VARS))
+        assert [r.model for r in reports] == [expected, expected]
+        # The parent's environment is left as it was.
+        assert not any(var in os.environ for var in BLAS_THREAD_VARS)
+
+    def test_lower_setting_is_kept(self, small_splits, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "64")
+        reports = run_jobs(
+            [(_BlasProbe(), small_splits), (_BlasProbe(), small_splits)],
+            n_jobs=2,
+        )
+        threads = str(max(1, _usable_cpus() // 2))
+        assert reports[0].model == f"1,{threads},1"
+        assert os.environ["OMP_NUM_THREADS"] == "64"
 
 
 class TestWorkerFailure:

@@ -23,6 +23,7 @@ from repro.boosting.tree import RegressionTree, TreeParams
 from repro.core.cache import BuildCache, build_dataset_cached, fingerprint
 from repro.core.config import AnnotationConfig, CorpusConfig
 from repro.core.pipeline import build_dataset
+from repro.core.privacy import scrub_text, scrub_text_reference
 from repro.core.rng import ScalarDraws, SeedSequenceRegistry
 from repro.models.deberta import DebertaRiskNetwork
 from repro.models.neural_common import train_classifier
@@ -77,6 +78,30 @@ class TestKernelSmoke:
         fast = _clock(lambda: [hasher.signature(s) for s in sets])
         slow = _clock(lambda: [hasher._signature_reference(s) for s in sets])
         assert fast < slow * 1.5
+
+    def test_minhash_batch_beats_reference(self):
+        """The batch path over templated posts that share most shingles,
+        as a crawl's do."""
+        hasher = MinHasher(num_perm=64)
+        sets = [
+            shingles(f"i feel {i % 7} hopeless and alone tonight again " * 4)
+            for i in range(300)
+        ]
+        fast = _clock(lambda: hasher.signatures(sets))
+        slow = _clock(lambda: [hasher._signature_reference(s) for s in sets])
+        assert fast < slow  # usually ~100x below
+
+    def test_scrub_text_beats_reference(self):
+        texts = [
+            f"post {i}: I feel hopeless tonight and cannot sleep at all " * 4
+            for i in range(400)
+        ]
+        fast = _clock(lambda: [scrub_text(t) for t in texts])
+        slow = _clock(lambda: [scrub_text_reference(t) for t in texts])
+        assert [scrub_text(t) for t in texts] == [
+            scrub_text_reference(t) for t in texts
+        ]
+        assert fast < slow  # usually ~3x below; the digits keep one regex
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_relative_scatter_beats_reference(self, transpose):

@@ -51,8 +51,8 @@ class TestScatterAddRows:
         np.testing.assert_array_equal(target, 1.0)
 
 
-@pytest.mark.usefixtures("float64_twin")
 class TestRelativeScatter:
+    @pytest.mark.usefixtures("float64_twin")
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize(
         "shape, distance",
@@ -66,6 +66,23 @@ class TestRelativeScatter:
         assert fast.shape == (*shape, 2 * distance + 1)
         assert np.array_equal(fast, reference)
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize(
+        "shape, distance",
+        [((2, 4, 9), 3), ((3, 1, 2, 17), 16), ((16, 4, 96), 16)],
+    )
+    def test_float32_bitwise_equal_to_reference(self, shape, distance, transpose):
+        """In float32, the dtype training runs in. The (16, 4, 96, 96)
+        gradient is a DeBERTa batch's, where summing each bucket in
+        float32 would round differently from the float64 ``bincount``."""
+        rng = np.random.default_rng(len(shape) + distance)
+        grad = rng.normal(size=(*shape, shape[-1])).astype(np.float32)
+        fast = relative_scatter(grad, distance, transpose)
+        reference = relative_scatter_reference(grad, distance, transpose)
+        assert fast.dtype == reference.dtype == np.float32
+        assert np.array_equal(fast, reference)
+
+    @pytest.mark.usefixtures("float64_twin")
     @pytest.mark.parametrize("transpose", [False, True])
     def test_bitwise_equal_to_fancy_index_backward(self, transpose):
         """The primitive's gradient is the one the generic fancy-index

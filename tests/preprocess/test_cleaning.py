@@ -1,26 +1,25 @@
 """Tests for noise stripping and relevance filtering."""
 
-import re
-import unicodedata
+import math
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus.lexicon import NOISE_FRAGMENTS, OFFTOPIC_SENTENCES
 from repro.corpus.models import RedditPost
 from repro.preprocess.cleaning import (
-    _BRACKET_TAG_RE,
-    _HASHTAG_RE,
     _OFFTOPIC_PATTERNS,
+    _OFFTOPIC_SOURCES,
     _RELEVANCE_TERMS,
-    _REPEAT_PUNCT_RE,
-    _URL_RE,
-    _ZERO_WIDTH,
     clean_and_filter,
     clean_post,
     is_relevant,
+    is_relevant_reference,
     relevance_score,
     strip_noise,
+    strip_noise_reference,
 )
 
 #: Texts for the gated fast paths: off-topic and distress sentences, each
@@ -48,13 +47,27 @@ def _relevance_reference(text):
     return max(0.0, min(1.0, (hits - 2 * penalties) / 3.0))
 
 
-def _strip_noise_reference(text):
-    text = unicodedata.normalize("NFKC", text).translate(_ZERO_WIDTH)
-    text = _URL_RE.sub(" ", text)
-    text = _HASHTAG_RE.sub(" ", text)
-    text = _BRACKET_TAG_RE.sub(" ", text)
-    text = _REPEAT_PUNCT_RE.sub(r"\1", text)
-    return re.sub(r"\s+", " ", text).strip()
+#: Pieces that the noise substitutions and the relevance filter react to:
+#: bracket tags, punctuation runs (also the one NFKC makes of "…"), URLs,
+#: hashtags, relevance terms, off-topic cores and non-ASCII look-alikes.
+NOISE_PIECES = (
+    "[removed]", "[Deleted by user]", "[removed", "[", "]", "[ot]",
+    "!!!", "!!", "???", "?", "...", "..", "…", ",,,", ",,", ".,.",
+    "http://x.example/a", "WWW.a.b", "www", "#a #b", "#x", "#",
+    "hopeless", "alone", "Suicidal", "end my life", "can't go on", "NOTE",
+    "selling", "pizza", "dm me", "deals", "ſelling", "\u212aill",
+    "\u200b", "\u00a0", " ", "\n", "x", "é",
+)
+noisy_texts = st.one_of(
+    st.lists(st.sampled_from(NOISE_PIECES), max_size=12).map("".join),
+    st.lists(st.sampled_from(NOISE_PIECES), max_size=12).map(" ".join),
+    st.text(max_size=60),
+)
+#: Thresholds around every reachable score (k/3), outside [0, 1] and NaN.
+THRESHOLDS = (
+    -1.0, 0.0, 1e-12, 0.3, 1 / 3, 0.34, 0.5, 2 / 3, 0.7, 1.0, 1.0001, 5.0,
+    -math.inf, math.inf, math.nan,
+)
 
 
 class TestGatedFastPaths:
@@ -66,7 +79,45 @@ class TestGatedFastPaths:
     @pytest.mark.parametrize("text", GATE_TEXTS)
     def test_strip_noise_equals_unconditional_subs(self, text):
         for variant in (text, text.upper(), "a " + text + " #x #y"):
-            assert strip_noise(variant) == _strip_noise_reference(variant)
+            assert strip_noise(variant) == strip_noise_reference(variant)
+
+    @settings(max_examples=300, deadline=None)
+    @given(noisy_texts)
+    def test_strip_noise_property(self, text):
+        assert strip_noise(text) == strip_noise_reference(text)
+
+    @pytest.mark.parametrize("text", GATE_TEXTS)
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_is_relevant_equals_score_comparison(self, text, threshold):
+        for variant in (text, text.upper(), strip_noise(text)):
+            assert is_relevant(variant, threshold) == is_relevant_reference(
+                variant, threshold
+            )
+            assert is_relevant(variant, threshold) == (
+                relevance_score(variant) >= threshold
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(noisy_texts, st.sampled_from(THRESHOLDS) | st.floats(-0.5, 1.5))
+    def test_is_relevant_property(self, text, threshold):
+        assert is_relevant(text, threshold) == is_relevant_reference(
+            text, threshold
+        )
+
+    @pytest.mark.parametrize("term", _RELEVANCE_TERMS)
+    def test_each_term_alone_is_one_hit(self, term):
+        for text in (term, f"x {term} y", term.upper()):
+            assert is_relevant(text, 0.3) == is_relevant_reference(text, 0.3)
+            assert is_relevant(text, 0.3)
+
+    @pytest.mark.parametrize("source", _OFFTOPIC_SOURCES)
+    def test_offtopic_text_takes_the_full_score(self, source):
+        core = source.replace("\\b", "").replace("\\", "").removesuffix("s?")
+        for text in (f"hopeless {core}", f"hopeless alone numb {core}"):
+            for threshold in THRESHOLDS:
+                assert is_relevant(text, threshold) == is_relevant_reference(
+                    text, threshold
+                )
 
 
 def make_post(body, title="title"):

@@ -81,6 +81,18 @@ class TestBatchedSignatures:
         sets = [set()] + [shingles(t) for t in TEXTS] + [set(), set(), {"x"}]
         _assert_batch_matches_reference(hasher, sets)
 
+    @pytest.mark.parametrize("table_values", [1, 150, 275, 385, 10**6])
+    @pytest.mark.parametrize("block_rows", [1, 3, 38, 1024])
+    def test_permutation_slices(self, monkeypatch, table_values, block_rows):
+        # With 55 distinct shingles: slices of 1, 2, 5 and 7 permutations
+        # (the last two do not divide num_perm) and the whole table, each
+        # with blocks inside, across and around sets.
+        monkeypatch.setattr(dedup, "_TABLE_VALUES", table_values)
+        monkeypatch.setattr(dedup, "_BLOCK_ROWS", block_rows)
+        hasher = MinHasher(num_perm=24)
+        sets = [set()] + [shingles(t) for t in TEXTS] + [set(), {"x"}, {"only"}]
+        _assert_batch_matches_reference(hasher, sets)
+
     def test_empty_batch_and_all_empty_sets(self):
         hasher = MinHasher(num_perm=16)
         assert hasher.signatures([]).shape == (0, 16)
@@ -99,3 +111,20 @@ class TestBatchedSignatures:
             _assert_batch_matches_reference(hasher, [shingles(t) for t in texts])
         finally:
             dedup._BLOCK_ROWS = original
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="abcd ", min_size=0, max_size=40), max_size=12),
+        st.integers(1, 20),
+        st.integers(1, 200),
+    )
+    def test_property_sliced_batch_equals_reference(
+        self, texts, block_rows, table_values
+    ):
+        hasher = MinHasher(num_perm=16)
+        saved = dedup._BLOCK_ROWS, dedup._TABLE_VALUES
+        dedup._BLOCK_ROWS, dedup._TABLE_VALUES = block_rows, table_values
+        try:
+            _assert_batch_matches_reference(hasher, [shingles(t) for t in texts])
+        finally:
+            dedup._BLOCK_ROWS, dedup._TABLE_VALUES = saved
