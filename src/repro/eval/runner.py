@@ -11,28 +11,35 @@ protocol as such a job list: one job per seed, summarised as mean ± std.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import perf
 from repro.core.errors import ExperimentError
+from repro.core.workers import spawn_executor
 from repro.eval.metrics import EvalReport
 from repro.eval.splits import WindowSplits
 from repro.models.base import RiskModel, window_labels
+from repro.models.bilstm import TimeAwareBiLSTM
+from repro.models.deberta import DebertaRiskModel
+from repro.models.higru import HiGRU
 from repro.models.registry import create_model
+from repro.models.roberta import RobertaRiskModel
+from repro.models.xgboost_baseline import XGBoostBaseline
 
 #: Worker count of :func:`run_jobs` when ``n_jobs`` is not passed; unset
 #: or 1 keeps the serial path.
 SEED_JOBS_ENV = "REPRO_SEED_JOBS"
 
-#: Thread-count variables a BLAS library reads once, when numpy loads.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: Model classes from the longest fit to the shortest (DeBERTa subclasses
+#: RoBERTa, so it comes first); the parallel path submits jobs in this
+#: order and any other model last, so the longest job never starts last.
+_COST_ORDER = (
+    DebertaRiskModel, RobertaRiskModel, HiGRU, TimeAwareBiLSTM, XGBoostBaseline,
+)
 
 
 def _default_jobs() -> int:
@@ -116,34 +123,15 @@ def _evaluate_in_worker(
     return report, spans, snapshot["counters"]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
+def _longest_first(jobs: Sequence[tuple[RiskModel, WindowSplits]]) -> list[int]:
+    """Job indices by :data:`_COST_ORDER`, other models last; the sort is
+    stable, so jobs of equal rank keep their order."""
 
+    def rank(i: int) -> int:
+        ranks = [r for r, cls in enumerate(_COST_ORDER) if isinstance(jobs[i][0], cls)]
+        return ranks[0] if ranks else len(_COST_ORDER)
 
-@contextmanager
-def _blas_threads_capped(threads: int) -> Iterator[None]:
-    """Cap every :data:`BLAS_THREAD_VARS` entry at ``threads`` (a lower
-    value already set stays) until the block ends.
-
-    Spawned workers copy the environment when they start and their BLAS
-    reads it when numpy loads, before any job code runs; the parent's
-    BLAS has long been loaded and keeps its threads.
-    """
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    for name, value in saved.items():
-        current = int(value) if value and value.isdigit() else threads
-        os.environ[name] = str(max(1, min(current, threads)))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    return sorted(range(len(jobs)), key=rank)
 
 
 def run_jobs(
@@ -153,13 +141,13 @@ def run_jobs(
     """:func:`evaluate` every ``(model, splits)`` job, in job order.
 
     ``n_jobs``: number of worker processes. None reads ``REPRO_SEED_JOBS``
-    (default 1 = serial). Workers are spawned, not forked, so a parent
-    with threads cannot deadlock them; each job ships to its worker by
-    pickle and carries its own seed, so the parallel path returns
-    reports bitwise identical to the serial one. Workers fit copies, so
-    read results from the reports, not from the caller's models. A job
-    that raises in a worker re-raises here, after the pool has shut down.
-    Each worker job's span totals (calls and seconds, not histograms)
+    (default 1 = serial). Each job ships to a :func:`spawn_executor`
+    worker by pickle, longest first (:func:`_longest_first`), and
+    carries its own seed, so the parallel path returns reports bitwise
+    identical to the serial one. Workers fit copies, so read results
+    from the reports, not from the caller's models. A job that raises in
+    a worker re-raises here, after the pool has shut down. Each worker
+    job's span totals (calls and seconds, not histograms) and counters
     are added under ``eval.run_jobs``, where the serial path records
     them.
     """
@@ -171,12 +159,11 @@ def run_jobs(
             reports = [evaluate(model, splits) for model, splits in jobs]
         else:
             workers = min(workers, len(jobs))
-            with _blas_threads_capped(max(1, _usable_cpus() // workers)), \
-                    ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=multiprocessing.get_context("spawn"),
-                    ) as pool:
-                results = list(pool.map(_evaluate_in_worker, *zip(*jobs)))
+            order = _longest_first(jobs)
+            with spawn_executor(workers) as pool:
+                done = pool.map(_evaluate_in_worker, *zip(*(jobs[i] for i in order)))
+                by_job = dict(zip(order, done))
+            results = [by_job[i] for i in range(len(jobs))]
             registry = perf.get_registry()
             for _, spans, counters in results:
                 for path, (calls, total_s) in spans.items():

@@ -227,8 +227,8 @@ class Tensor:
     # Autograd state is graph- and process-local: ``_backward`` closures
     # capture intermediate arrays and cannot (and should not) cross a
     # pickle boundary. A Tensor round-trips as a leaf — data, grad flag,
-    # name — which is exactly what handing a pickled model to serving
-    # worker processes needs (see repro.serve.pool).
+    # name — which is exactly what handing a pickled model to worker
+    # processes needs (see repro.core.workers).
 
     def __getstate__(self):
         return (self.data, self.requires_grad, self.name)

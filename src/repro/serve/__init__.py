@@ -2,18 +2,12 @@
 registry baselines. See :mod:`repro.serve.engine`."""
 
 from repro.serve.engine import EngineConfig, InferenceEngine
-from repro.serve.pool import (
-    PoolConfig,
-    PoolSaturatedError,
-    WorkerCrashError,
-    WorkerPool,
-)
+from repro.serve.pool import PoolConfig, WorkerCrashError, WorkerPool
 
 __all__ = [
     "EngineConfig",
     "InferenceEngine",
     "PoolConfig",
-    "PoolSaturatedError",
     "WorkerCrashError",
     "WorkerPool",
 ]

@@ -154,11 +154,6 @@ class InferenceEngine:
         perf.count("serve.requests", len(windows))
         return np.vstack(out)
 
-    def predict_labels(self, windows: list[PostWindow]) -> np.ndarray:
-        """Greedy labels via the batched probability path."""
-        probs = self.predict_many(windows)
-        return probs.argmax(axis=1).astype(np.int64)
-
     # -- asynchronous micro-batched path -----------------------------------
 
     def submit(self, window: PostWindow) -> Future:
@@ -178,10 +173,6 @@ class InferenceEngine:
         perf.count("serve.requests")
         perf.gauge("serve.queue_depth", self._queue.qsize())
         return future
-
-    def predict_one(self, window: PostWindow, timeout: float | None = None):
-        """Blocking single-window scoring through the micro-batcher."""
-        return self.submit(window).result(timeout=timeout)
 
     def _batch_loop(self) -> None:
         cfg = self.config

@@ -9,16 +9,17 @@ import pytest
 from repro import perf
 from repro.boosting import GBMParams
 from repro.core.errors import ExperimentError
+from repro.core.workers import BLAS_THREAD_VARS, _usable_cpus
 from repro.eval.runner import (
-    BLAS_THREAD_VARS,
     _default_jobs,
-    _usable_cpus,
+    _longest_first,
     run_jobs,
     run_repeated,
 )
 from repro.models import create_model
 from repro.models.logistic import LogisticBaseline
 from repro.models.neural_common import TrainerConfig
+from repro.models.registry import TABLE3_ORDER
 
 
 def _report_tuple(report):
@@ -103,6 +104,16 @@ class TestParallelEquivalence:
     def test_single_seed_stays_serial(self, small_splits):
         result = run_repeated("logreg", small_splits, seeds=(0,), n_jobs=4)
         assert len(result.reports) == 1
+
+
+class TestScheduling:
+    def test_jobs_start_longest_first(self):
+        names = ("logreg", *TABLE3_ORDER, "logreg")
+        order = _longest_first([(create_model(name), None) for name in names])
+        assert [names[i] for i in order] == [
+            "deberta", "roberta", "higru", "bilstm", "xgboost", "logreg", "logreg",
+        ]
+        assert order[-2:] == [0, 6]  # equal ranks keep job order
 
 
 class TestWorkerSpans:

@@ -63,26 +63,12 @@ def test_predict_many_empty(engine):
     assert engine.predict_many([]).shape[0] == 0
 
 
-def test_predict_labels(engine, fitted_logreg, small_splits):
-    labels = engine.predict_labels(small_splits.test)
-    expected = fitted_logreg.predict_proba(small_splits.test).argmax(axis=1)
-    np.testing.assert_array_equal(labels, expected)
-
-
 def test_async_submit_matches_direct(engine, fitted_logreg, small_splits):
     windows = small_splits.test[:6]
     futures = [engine.submit(w) for w in windows]
     rows = np.vstack([f.result(timeout=10.0) for f in futures])
     direct = fitted_logreg.predict_proba(windows)
     np.testing.assert_allclose(rows, direct, atol=1e-12)
-
-
-def test_predict_one(engine, fitted_logreg, small_splits):
-    window = small_splits.test[0]
-    row = engine.predict_one(window, timeout=10.0)
-    np.testing.assert_allclose(
-        row, fitted_logreg.predict_proba([window])[0], atol=1e-12
-    )
 
 
 def test_micro_batching_coalesces(fitted_logreg, small_splits):

@@ -1,11 +1,15 @@
-"""WorkerPool: output integrity, crash propagation, backpressure, telemetry.
+"""WorkerPool: output integrity, failures that do not hang, lifecycle.
 
-Workers start with ``spawn`` (the pool's only start method), so the
-helper model classes here must be importable by worker processes —
-they live at module top level for exactly that reason.
+Workers start with ``spawn``, so the helper model classes here must be
+importable by worker processes — they live at module top level for
+exactly that reason.
 """
 
-import time
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
+from itertools import cycle, islice
 
 import numpy as np
 import pytest
@@ -19,7 +23,6 @@ from repro.serve import (
     EngineConfig,
     InferenceEngine,
     PoolConfig,
-    PoolSaturatedError,
     WorkerCrashError,
     WorkerPool,
 )
@@ -27,20 +30,10 @@ from repro.serve import (
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 
-class SlowModel(RiskModel):
-    """Deterministic model whose scoring blocks for a fixed delay.
+class ConstantModel(RiskModel):
+    """Scores every window with the same fixed probabilities."""
 
-    Lets tests hold a worker busy (crash injection mid-request) or let
-    the request queue back up (backpressure) without timing races on
-    real model speed.
-    """
-
-    name = "Slow"
-
-    def __init__(self, delay_s: float = 0.2) -> None:
-        super().__init__()
-        self.delay_s = delay_s
-        self.weights = np.linspace(1.0, 2.0, NUM_CLASSES)
+    name = "Constant"
 
     def _fit(self, train, validation) -> None:
         pass
@@ -49,12 +42,22 @@ class SlowModel(RiskModel):
         return self._predict_proba(windows).argmax(axis=1)
 
     def _predict_proba(self, windows):
-        time.sleep(self.delay_s)
-        probs = np.tile(self.weights, (len(windows), 1))
+        probs = np.tile(np.linspace(1.0, 2.0, NUM_CLASSES), (len(windows), 1))
         return probs / probs.sum(axis=1, keepdims=True)
 
 
-class UnloadableModel(SlowModel):
+class BatchSizeModel(ConstantModel):
+    """Scores each window by the size of the batch it came in, so any
+    shard that is not one engine batch shows in the output."""
+
+    name = "BatchSize"
+
+    def _predict_proba(self, windows):
+        probs = np.tile(np.linspace(1.0, len(windows), NUM_CLASSES), (len(windows), 1))
+        return probs / probs.sum(axis=1, keepdims=True)
+
+
+class UnloadableModel(ConstantModel):
     """Pickles fine in the parent but cannot be rebuilt in a worker."""
 
     name = "Unloadable"
@@ -63,11 +66,31 @@ class UnloadableModel(SlowModel):
         raise RuntimeError("weights refused to load")
 
 
-def _slow_pool(delay_s=0.2, **kwargs) -> WorkerPool:
-    model = SlowModel(delay_s).fit(["w"])
-    defaults = dict(num_workers=1, engine=EngineConfig(max_batch_size=4))
-    defaults.update(kwargs)
-    return WorkerPool(model, PoolConfig(**defaults))
+class DyingOnLoadModel(ConstantModel):
+    """Kills the worker process that unpickles it."""
+
+    name = "DyingOnLoad"
+
+    def __setstate__(self, state) -> None:
+        os._exit(3)
+
+
+class ExitingModel(ConstantModel):
+    """Kills the worker process that scores it, as a segfault would."""
+
+    name = "Exiting"
+
+    def _predict_proba(self, windows):
+        os._exit(3)
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)``, failing with ``TimeoutError`` instead of hanging."""
+    runner = ThreadPoolExecutor(1)
+    try:
+        return runner.submit(fn, *args).result(timeout=seconds)
+    finally:
+        runner.shutdown(wait=False)
 
 
 @pytest.fixture(scope="module")
@@ -77,14 +100,18 @@ def fitted_logreg(small_splits):
     return model
 
 
+@pytest.fixture()
+def traffic(small_splits):
+    """Three engine batches' worth of test windows, repeated as needed."""
+    size = EngineConfig().max_batch_size
+    return list(islice(cycle(small_splits.test), 2 * size + 5))
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             PoolConfig(num_workers=0)
-        with pytest.raises(ValueError):
-            PoolConfig(max_pending=0)
-        with pytest.raises(ValueError):
-            PoolConfig(startup_timeout_s=0)
+        assert [f.name for f in fields(PoolConfig)] == ["num_workers"]
 
     def test_exactly_one_model_source(self, fitted_logreg):
         with pytest.raises(ModelError):
@@ -102,31 +129,25 @@ class TestConfig:
 
 
 class TestOutputIntegrity:
-    def test_bitwise_identical_to_single_engine(
-        self, fitted_logreg, small_splits
-    ):
-        windows = list(small_splits.test)
-        config = PoolConfig(num_workers=2, engine=EngineConfig(max_batch_size=4))
-        with InferenceEngine(fitted_logreg, config.engine) as engine:
-            single = engine.predict_many(windows)
-        with WorkerPool(fitted_logreg, config) as pool:
-            pooled = pool.predict_many(windows, timeout=60.0)
-            labels = pool.predict_labels(windows, timeout=60.0)
+    def test_bitwise_identical_to_single_engine(self, fitted_logreg, traffic):
+        with InferenceEngine(fitted_logreg) as engine:
+            single = engine.predict_many(traffic)
+        with WorkerPool(fitted_logreg, PoolConfig(num_workers=2)) as pool:
+            pooled = pool.predict_many(traffic)
         np.testing.assert_array_equal(pooled, single)  # bitwise, float64
-        np.testing.assert_array_equal(labels, single.argmax(axis=1))
+
+    def test_shards_are_engine_batches(self):
+        model = BatchSizeModel().fit(["w"])
+        windows = ["w"] * (2 * EngineConfig().max_batch_size + 5)
+        with InferenceEngine(model) as engine:
+            single = engine.predict_many(windows)
+        with WorkerPool(model, PoolConfig(num_workers=2)) as pool:
+            np.testing.assert_array_equal(pool.predict_many(windows), single)
 
     def test_empty_input(self, fitted_logreg):
-        config = PoolConfig(num_workers=1)
-        with WorkerPool(fitted_logreg, config) as pool:
+        with WorkerPool(fitted_logreg, PoolConfig(num_workers=1)) as pool:
             out = pool.predict_many([])
         assert out.shape == (0, NUM_CLASSES)
-
-    def test_submit_resolves_future(self, fitted_logreg, small_splits):
-        windows = list(small_splits.test)[:3]
-        with WorkerPool(fitted_logreg, PoolConfig(num_workers=1)) as pool:
-            future = pool.submit(windows)
-            probs = future.result(timeout=60.0)
-        assert probs.shape == (3, NUM_CLASSES)
 
 
 class TestCrashPropagation:
@@ -134,100 +155,65 @@ class TestCrashPropagation:
         model = UnloadableModel().fit(["w"])
         with pytest.raises(WorkerCrashError, match="weights refused to load"):
             WorkerPool(model, PoolConfig(num_workers=1))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_at_startup_raises(self):
+        with pytest.raises(WorkerCrashError, match="pool worker died"):
+            WorkerPool(DyingOnLoadModel().fit(["w"]), PoolConfig(num_workers=2))
+        assert multiprocessing.active_children() == []
 
     def test_in_flight_futures_fail_instead_of_hanging(self):
-        pool = _slow_pool(delay_s=0.5)
-        try:
-            futures = [pool.submit(["w"] * 2) for _ in range(3)]
-            time.sleep(0.1)  # let the worker start chewing on the first
-            pool.debug_kill_worker(0)
-            for future in futures:
-                with pytest.raises(WorkerCrashError):
-                    future.result(timeout=30.0)
-            assert pool.broken
-        finally:
-            pool.close()
+        with WorkerPool(ExitingModel().fit(["w"]), PoolConfig(2)) as pool:
+            with pytest.raises(WorkerCrashError):
+                _within(30.0, pool.predict_many, ["w"] * 40)
 
     def test_broken_pool_rejects_new_work(self):
-        pool = _slow_pool(delay_s=0.05)
-        try:
-            pool.debug_kill_worker(0)
-            deadline = time.monotonic() + 30.0
-            while not pool.broken and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert pool.broken
+        with WorkerPool(ExitingModel().fit(["w"]), PoolConfig(1)) as pool:
             with pytest.raises(WorkerCrashError):
-                pool.submit(["w"])
-        finally:
-            pool.close()
+                _within(30.0, pool.predict_many, ["w"])
+            with pytest.raises(WorkerCrashError):
+                _within(30.0, pool.predict_many, ["w"])
 
-    def test_worker_request_error_fails_only_that_future(self, fitted_logreg):
+    def test_worker_request_error_fails_only_that_future(self, fitted_logreg, traffic):
         with WorkerPool(fitted_logreg, PoolConfig(num_workers=1)) as pool:
-            bad = pool.submit([object()])  # unscoreable payload
             with pytest.raises(Exception) as excinfo:
-                bad.result(timeout=30.0)
+                pool.predict_many([object()])  # unscoreable payload
             assert not isinstance(excinfo.value, WorkerCrashError)
-            assert not pool.broken  # worker survived the poison request
-            good = pool.submit([])
-            assert good.result(timeout=30.0).shape == (0, NUM_CLASSES)
-
-
-class TestBackpressure:
-    def test_saturated_queue_raises_instead_of_blocking(self):
-        pool = _slow_pool(delay_s=0.5, max_pending=1)
-        try:
-            first = pool.submit(["w"], block=False)
-            deadline = time.monotonic() + 10.0
-            # Wait for the worker to take the first request off the queue.
-            while pool._request_q.qsize() > 0 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            queued = pool.submit(["w"], block=False)  # fills the queue
-            with pytest.raises(PoolSaturatedError):
-                pool.submit(["w"], block=False)
-            assert first.result(timeout=30.0).shape == (1, NUM_CLASSES)
-            assert queued.result(timeout=30.0).shape == (1, NUM_CLASSES)
-        finally:
-            pool.close()
+            assert pool.predict_many(traffic).shape == (len(traffic), NUM_CLASSES)
 
 
 class TestLifecycle:
-    def test_close_is_idempotent_and_rejects_submissions(self):
-        pool = _slow_pool(delay_s=0.01)
+    def test_close_is_idempotent_and_rejects_submissions(self, fitted_logreg):
+        pool = WorkerPool(fitted_logreg, PoolConfig(num_workers=1))
         pool.close()
         pool.close()
-        with pytest.raises(RuntimeError):
-            pool.submit(["w"])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="closed"):
             pool.predict_many(["w"])
 
     def test_context_manager(self, fitted_logreg):
         with WorkerPool(fitted_logreg, PoolConfig(num_workers=1)) as pool:
-            assert pool.stats()["workers_alive"] == 1
-        assert pool.stats()["workers_alive"] == 0
+            assert len(multiprocessing.active_children()) == 1
+        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.predict_many(["w"])
 
 
 class TestTelemetry:
-    def test_parent_latency_histogram(self, fitted_logreg, small_splits):
-        windows = list(small_splits.test)[:4]
+    def test_predict_many_span_in_parent(self, fitted_logreg, small_splits):
+        perf.reset()
         with WorkerPool(fitted_logreg, PoolConfig(num_workers=1)) as pool:
-            pool.predict_many(windows, timeout=60.0)
-        obs = perf.snapshot()["observations"]
-        assert "serve.pool.request.latency_seconds" in obs
+            pool.predict_many(list(small_splits.test)[:4])
+        assert perf.snapshot()["spans"]["serve.pool.predict_many"]["calls"] == 1
 
 
 @pytest.mark.perf_smoke
 def test_pool_smoke_bench(fitted_logreg, small_splits):
     """End-to-end pool run on real traffic: integrity + liveness."""
-    windows = list(small_splits.test)
-    traffic = [windows[i % len(windows)] for i in range(48)]
-    config = PoolConfig(num_workers=2, engine=EngineConfig(max_batch_size=8))
-    with InferenceEngine(fitted_logreg, config.engine) as engine:
+    traffic = list(islice(cycle(small_splits.test), 48))
+    with InferenceEngine(fitted_logreg) as engine:
         single = engine.predict_many(traffic)
-    with WorkerPool(fitted_logreg, config) as pool:
-        pooled = pool.predict_many(traffic, timeout=300.0)
+    with WorkerPool(fitted_logreg, PoolConfig(num_workers=2)) as pool:
+        pooled = pool.predict_many(traffic)
     np.testing.assert_array_equal(pooled.argmax(axis=1), single.argmax(axis=1))
     np.testing.assert_array_equal(pooled, single)  # float64, bitwise
-    latency = perf.snapshot()["observations"][
-        "serve.pool.request.latency_seconds"
-    ]
-    assert latency["hist"]["count"] > 0
+    assert perf.snapshot()["spans"]["serve.pool.predict_many"]["calls"] > 0

@@ -1,4 +1,4 @@
-"""Two repo rules that guard what the release promises, as plain AST checks.
+"""Three repo rules that guard what the release promises, as plain AST checks.
 
 * RNG: a fixed seed gives a bitwise-identical build only if every draw
   comes from an explicit ``np.random.Generator`` (or ``random.Random``).
@@ -7,8 +7,11 @@
 * Twins: every ``*_reference`` function in ``src/`` keeps its fast twin
   in its module (the name minus ``_reference``, with or without a
   leading underscore), and a file under ``tests/`` names it.
+* Spawner: only ``SPAWNER`` imports ``multiprocessing`` or a process
+  pool, so every worker process is spawned (never forked under a
+  threaded parent) with its BLAS threads capped.
 
-Both run on the repo and on planted trees, so a blind check fails too.
+All run on the repo and on planted trees, so a blind check fails too.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ THIS = Path(__file__).resolve()
 REPO = THIS.parents[1]
 RNG_DIRS = ("src", "tests", "scripts", "examples")
 MARKER = "_reference"
+SPAWNER = Path("src/repro/core/workers.py")
 
 #: numpy.random attributes that touch the hidden global RandomState.
 NUMPY_LEGACY = {
@@ -129,6 +133,41 @@ def twin_findings(root: Path) -> list[str]:
     return found
 
 
+def process_pool_imports(source: str) -> list[str]:
+    """``"<line>: <form>"`` for every way one module can reach
+    ``multiprocessing`` or ``ProcessPoolExecutor``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [
+                f"{node.lineno}: import {a.name}" for a in node.names
+                if a.name.split(".")[0] == "multiprocessing"
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "multiprocessing" or (
+                node.module == "concurrent.futures.process"
+            ):
+                found.append(f"{node.lineno}: from {node.module} import")
+            elif node.module == "concurrent.futures":
+                found += [
+                    f"{node.lineno}: from concurrent.futures import {a.name}"
+                    for a in node.names
+                    if a.name in {"ProcessPoolExecutor", "process"}
+                ]
+        elif isinstance(node, ast.Attribute) and node.attr == "ProcessPoolExecutor":
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def spawner_findings(root: Path) -> list[str]:
+    return [
+        f"{path.relative_to(root)}:{use}"
+        for path in python_files(root / "src")
+        if path.relative_to(root) != SPAWNER
+        for use in process_pool_imports(path.read_text(encoding="utf-8"))
+    ]
+
+
 def plant(root: Path, files: dict[str, str]) -> Path:
     for relpath, source in files.items():
         path = root / relpath
@@ -147,6 +186,11 @@ def test_repo_uses_no_global_rng():
 
 def test_repo_references_keep_twin_and_test():
     assert twin_findings(REPO) == []
+
+
+def test_repo_spawns_processes_in_one_module():
+    assert process_pool_imports((REPO / SPAWNER).read_text(encoding="utf-8"))
+    assert spawner_findings(REPO) == []
 
 
 # -- RNG discipline on planted trees -------------------------------------------
@@ -238,3 +282,37 @@ def test_broken_pair_is_caught(tmp_path, files, finding):
 def test_kept_pair_passes(tmp_path, kernels, tests):
     files = {"src/kernels.py": kernels, "tests/test_k.py": tests}
     assert twin_findings(plant(tmp_path, files)) == []
+
+
+# -- one spawner on planted trees -----------------------------------------------
+
+
+@pytest.mark.parametrize("source", [
+    "import multiprocessing\n",
+    "import multiprocessing as mp\nctx = mp.get_context('fork')\n",
+    "from multiprocessing import Process, Queue\n",
+    "from multiprocessing.pool import Pool\n",
+    "from concurrent.futures import Future, ProcessPoolExecutor\n",
+    "import concurrent.futures\npool = concurrent.futures.ProcessPoolExecutor(2)\n",
+    "from concurrent.futures.process import BrokenProcessPool\n",
+    "def f():\n    import multiprocessing\n    return multiprocessing\n",
+], ids=[
+    "import", "alias", "from-import", "submodule", "from-futures",
+    "futures-attribute", "futures-process-module", "late-import",
+])
+def test_second_spawner_is_caught(tmp_path, source):
+    plant(tmp_path, {"src/repro/serve/pool.py": source})
+    assert len(spawner_findings(tmp_path)) == 1
+
+
+@pytest.mark.parametrize("files", [
+    {"src/repro/serve/engine.py":
+     "from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor\n"},
+    {"src/repro/serve/engine.py":
+     "import concurrent.futures\nf = concurrent.futures.Future()\n"},
+    {"src/repro/core/workers.py":
+     "import multiprocessing\nfrom concurrent.futures import ProcessPoolExecutor\n"},
+    {"tests/test_pool.py": "import multiprocessing\n"},
+], ids=["futures-without-processes", "future-attribute", "the-spawner", "tests"])
+def test_one_spawner_passes(tmp_path, files):
+    assert spawner_findings(plant(tmp_path, files)) == []
