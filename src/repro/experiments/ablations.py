@@ -30,27 +30,9 @@ class _DimensionOnlyXGBoost(XGBoostBaseline):
         self.dimension = dimension
         self.name = f"XGBoost[{dimension}]"
 
-    def _columns(self) -> slice:
-        return self.framework.dimension_slices()[self.dimension]
-
-    def _fit(self, train, validation):
-        x_train = self.framework.fit_transform(train)[:, self._columns()]
-        from repro.boosting import GradientBoostingClassifier
-        from repro.models.base import window_labels
-
-        eval_set = None
-        if validation:
-            eval_set = (
-                self.framework.transform(validation)[:, self._columns()],
-                window_labels(validation),
-            )
-        self.booster = GradientBoostingClassifier(self.params)
-        self.booster.fit(x_train, window_labels(train), eval_set=eval_set)
-
-    def _predict(self, windows):
-        return self.booster.predict(
-            self.framework.transform(windows)[:, self._columns()]
-        )
+    def _features(self, windows):
+        columns = self.framework.dimension_slices()[self.dimension]
+        return self.framework.transform(windows)[:, columns]
 
 
 def feature_dimension_ablation(

@@ -99,7 +99,7 @@ class FeatureFramework:
             stat_block = stats_matrix([w.latest.text for w in windows])
             tfidf_block = self._tfidf.transform(
                 self._window_text(w) for w in windows
-            ).toarray()
+            )
             return np.hstack([time_block, seq_block, stat_block, tfidf_block])
 
     def fit_transform(self, windows: list[PostWindow]) -> np.ndarray:

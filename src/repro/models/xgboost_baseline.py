@@ -35,20 +35,26 @@ class XGBoostBaseline(RiskModel):
         self.framework = FeatureFramework(max_tfidf_features=max_tfidf_features)
         self.booster: GradientBoostingClassifier | None = None
 
+    def _features(self, windows: list[PostWindow]) -> np.ndarray:
+        """The booster's input columns for ``windows``; fit, predict and
+        predict_proba all read them through here."""
+        return self.framework.transform(windows)
+
     def _fit(self, train: list[PostWindow], validation: list[PostWindow]) -> None:
-        x_train = self.framework.fit_transform(train)
+        self.framework.fit(train)
+        x_train = self._features(train)
         y_train = window_labels(train)
         eval_set = None
         if validation:
-            eval_set = (self.framework.transform(validation), window_labels(validation))
+            eval_set = (self._features(validation), window_labels(validation))
         self.booster = GradientBoostingClassifier(self.params)
         self.booster.fit(x_train, y_train, eval_set=eval_set)
 
     def _predict(self, windows: list[PostWindow]) -> np.ndarray:
-        return self.booster.predict(self.framework.transform(windows))
+        return self.booster.predict(self._features(windows))
 
     def _predict_proba(self, windows: list[PostWindow]) -> np.ndarray:
-        return self.booster.predict_proba(self.framework.transform(windows))
+        return self.booster.predict_proba(self._features(windows))
 
     # -- feature-importance analysis (paper §III-A1, 2nd paragraph) ------------
 

@@ -76,9 +76,9 @@ def _keep_freed_heap() -> None:
 
 _keep_freed_heap()
 
-# Per-thread autograd switch: the serving engine's worker threads run
-# forward passes under no_grad while a training loop may be active on
-# another thread, so the flag cannot be process-global.
+# Per-thread autograd switch: the serving engine's thread runs forward
+# passes under no_grad while a training loop may be active on another
+# thread, so the flag cannot be process-global.
 _GRAD_MODE = threading.local()
 
 

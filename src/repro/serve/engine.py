@@ -7,11 +7,11 @@ overhead — python dispatch, feature/tokenization setup, tiny gemms. The
 :class:`InferenceEngine` closes that gap three ways:
 
 * **dynamic micro-batching** — asynchronous ``submit`` requests queue up
-  and a batcher thread coalesces them into batches of up to
-  ``max_batch_size``, waiting at most ``max_wait_s`` after the first
-  request so latency stays bounded under light load; one worker thread
-  executes the coalesced batches, so the next batch assembles while the
-  previous one runs;
+  and one serving thread coalesces them into batches of up to
+  ``max_batch_size`` and runs each batch itself. It waits for more
+  requests until ``max_wait_s`` after the first one was queued, so
+  latency stays bounded under light load, and requests that queued while
+  a batch ran go out together in the next one without a further wait;
 * **a bounded LRU tokenization cache** — users repost and windows
   overlap, so per-post token encodings are memoised; the memo is the
   model pipeline's own (:class:`~repro.models.neural_common.TextPipeline`),
@@ -21,7 +21,7 @@ overhead — python dispatch, feature/tokenization setup, tiny gemms. The
 
 All scoring runs under :func:`repro.nn.no_grad`, and every stage is
 instrumented through ``repro.perf``: ``serve.*`` spans/counters, gauges
-(queue depth, in-flight batches, tokenization-cache size/hits/misses)
+(queue depth, tokenization-cache size/hits/misses)
 and one latency and one queue-wait observation per async request. Each
 async request's :class:`RequestTiming` rides on its future as
 ``future.trace``. See ``docs/observability.md``.
@@ -56,8 +56,9 @@ class EngineConfig:
     max_batch_size:
         Upper bound on coalesced batch size (both paths).
     max_wait_s:
-        How long the micro-batcher waits for stragglers after the first
-        queued request before dispatching a partial batch.
+        How long after the first queued request was submitted the
+        micro-batcher waits for stragglers before running a partial
+        batch.
     """
 
     max_batch_size: int = 32
@@ -72,8 +73,9 @@ class EngineConfig:
 
 class RequestTiming:
     """``perf_counter`` stamps of one async request: when it was queued,
-    when the micro-batcher dispatched its batch, when it completed.
-    A phase not reached yet reads as zero seconds."""
+    when its batch started running, when it completed. The queue wait
+    includes any time spent behind the batch running before it. A phase
+    not reached yet reads as zero seconds."""
 
     __slots__ = ("enqueued", "dispatched", "completed")
 
@@ -101,7 +103,7 @@ class InferenceEngine:
     >>> engine.close()
 
     The engine is also a context manager; ``close()`` drains the queue
-    and stops the batcher and worker threads.
+    and stops the serving thread.
     """
 
     def __init__(
@@ -114,20 +116,14 @@ class InferenceEngine:
         self.model = model
         self.config = config or EngineConfig()
         self._queue: queue.Queue = queue.Queue()
-        self._batch_queue: queue.Queue = queue.Queue()
         self._closed = False
         self._batches = 0
         self._batched_items = 0
-        self._in_flight = 0
         self._lock = threading.Lock()
         self._batcher = threading.Thread(
             target=self._batch_loop, name="serve-batcher", daemon=True
         )
         self._batcher.start()
-        self._worker = threading.Thread(
-            target=self._worker_loop, name="serve-worker", daemon=True
-        )
-        self._worker.start()
 
     @property
     def tokenization_cache(self) -> LRUCache | None:
@@ -186,43 +182,29 @@ class InferenceEngine:
             if item is _SHUTDOWN:
                 return
             batch = [item]
-            deadline = time.perf_counter() + cfg.max_wait_s
+            # Counted from when the first request was queued: one that
+            # queued behind the last batch has waited already, and
+            # whatever else queued meanwhile joins it without a wait.
+            deadline = item[2].enqueued + cfg.max_wait_s
             while len(batch) < cfg.max_batch_size:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
+                remaining = max(0.0, deadline - time.perf_counter())
                 try:
                     extra = self._queue.get(timeout=remaining)
                 except queue.Empty:
                     break
                 if extra is _SHUTDOWN:
-                    self._dispatch(batch)
+                    self._run_batch(batch)
                     return
                 batch.append(extra)
-            self._dispatch(batch)
-
-    def _dispatch(self, batch: list) -> None:
-        """Hand an assembled batch to the worker."""
-        now = time.perf_counter()
-        for _, _, timing in batch:
-            timing.dispatched = now
-        with self._lock:
-            self._in_flight += 1
-            in_flight = self._in_flight
-        perf.gauge("serve.in_flight_batches", in_flight)
-        perf.gauge("serve.queue_depth", self._queue.qsize())
-        self._batch_queue.put(batch)
-
-    def _worker_loop(self) -> None:
-        while True:
-            batch = self._batch_queue.get()
-            if batch is _SHUTDOWN:
-                return
             self._run_batch(batch)
 
     def _run_batch(
         self, batch: list[tuple[PostWindow, Future, RequestTiming]]
     ) -> None:
+        now = time.perf_counter()
+        for _, _, timing in batch:
+            timing.dispatched = now
+        perf.gauge("serve.queue_depth", self._queue.qsize())
         windows = [window for window, _, _ in batch]
         error = None
         try:
@@ -232,20 +214,14 @@ class InferenceEngine:
             self._record_batch(len(batch))
         except Exception as exc:  # propagate to every waiter
             error = exc
-        try:
-            self._finish_requests(batch)
-            for i, (_, future, _) in enumerate(batch):
-                if future.done():
-                    continue  # cancelled by its caller
-                if error is None:
-                    future.set_result(probs[i])
-                else:
-                    future.set_exception(error)
-        finally:
-            with self._lock:
-                self._in_flight -= 1
-                in_flight = self._in_flight
-            perf.gauge("serve.in_flight_batches", in_flight)
+        self._finish_requests(batch)
+        for i, (_, future, _) in enumerate(batch):
+            if future.done():
+                continue  # cancelled by its caller
+            if error is None:
+                future.set_result(probs[i])
+            else:
+                future.set_exception(error)
 
     @staticmethod
     def _finish_requests(batch: list) -> None:
@@ -282,13 +258,11 @@ class InferenceEngine:
         with self._lock:
             batches = self._batches
             items = self._batched_items
-            in_flight = self._in_flight
         return {
             "batches": batches,
             "batched_items": items,
             "mean_batch_size": items / batches if batches else 0.0,
             "queue_depth": self._queue.qsize(),
-            "in_flight_batches": in_flight,
             "tokenization_cache": None if cache is None else cache.stats(),
         }
 
@@ -299,10 +273,6 @@ class InferenceEngine:
             self._closed = True
         self._queue.put(_SHUTDOWN)
         self._batcher.join(timeout=5.0)
-        # The batcher has stopped producing; let the worker drain the
-        # batch queue, then stop it.
-        self._batch_queue.put(_SHUTDOWN)
-        self._worker.join(timeout=5.0)
         # Fail any request that raced the shutdown sentinel.
         while True:
             try:

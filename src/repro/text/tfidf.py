@@ -1,4 +1,4 @@
-"""TF-IDF vectorisation (dense/CSR), used by the XGBoost baseline."""
+"""Dense TF-IDF vectorisation, used by the XGBoost baseline."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from collections import Counter
 from collections.abc import Iterable
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.errors import NotFittedError
 from repro.text.tokenizer import STOPWORDS, WordTokenizer
@@ -98,14 +97,15 @@ class TfidfVectorizer:
         )
         return self
 
-    def transform(self, documents: Iterable[str]) -> sparse.csr_matrix:
-        """Batched CSR construction.
+    def transform(self, documents: Iterable[str]) -> np.ndarray:
+        """Batched dense ``(n_docs, |V|)`` float64 construction.
 
         All documents' term ids are concatenated once; counting, tf/idf
         weighting, and row L2 norms are then single numpy passes keyed on
         ``doc · |V| + term`` (no per-document Counter — that predecessor
-        survives as :meth:`_transform_reference`). ``np.unique`` sorts the
-        keys, so rows and in-row column order match the reference exactly.
+        survives as :meth:`_transform_reference`). Each ``(doc, term)``
+        pair's weight is written once into a zero array, so the result holds
+        the same values a CSR matrix of the pairs would densify to.
         """
         if self.vocabulary_ is None or self.idf_ is None:
             raise NotFittedError("TfidfVectorizer.transform before fit")
@@ -118,8 +118,6 @@ class TfidfVectorizer:
             term_ids.extend(ids)
             lengths.append(len(ids))
         n_docs = len(lengths)
-        if not term_ids:
-            return sparse.csr_matrix((n_docs, n_vocab), dtype=np.float64)
         doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
         keys = doc_of * n_vocab + np.asarray(term_ids, dtype=np.int64)
         uniq, counts = np.unique(keys, return_counts=True)
@@ -133,23 +131,17 @@ class TfidfVectorizer:
         )
         norms[norms == 0.0] = 1.0
         vals /= norms[rows]
-        indptr = np.searchsorted(rows, np.arange(n_docs + 1))
-        return sparse.csr_matrix(
-            (vals, cols, indptr),
-            shape=(n_docs, n_vocab),
-            dtype=np.float64,
-        )
+        out = np.zeros((n_docs, n_vocab), dtype=np.float64)
+        out[rows, cols] = vals
+        return out
 
-    def _transform_reference(
-        self, documents: Iterable[str]
-    ) -> sparse.csr_matrix:
+    def _transform_reference(self, documents: Iterable[str]) -> np.ndarray:
         """Per-document Counter predecessor, kept for equivalence tests."""
         if self.vocabulary_ is None or self.idf_ is None:
             raise NotFittedError("TfidfVectorizer.transform before fit")
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for doc in documents:
+        docs = list(documents)
+        out = np.zeros((len(docs), len(self.vocabulary_)), dtype=np.float64)
+        for i, doc in enumerate(docs):
             counts = Counter(
                 self.vocabulary_[t]
                 for t in self._terms(doc)
@@ -162,18 +154,9 @@ class TfidfVectorizer:
                 weight = (1.0 + math.log(tf)) if self.sublinear_tf else float(tf)
                 row_val.append(weight * self.idf_[j])
             norm = math.sqrt(sum(v * v for v in row_val)) or 1.0
-            indices.extend(row_idx)
-            data.extend(v / norm for v in row_val)
-            indptr.append(len(indices))
-        return sparse.csr_matrix(
-            (data, indices, indptr),
-            shape=(len(indptr) - 1, len(self.vocabulary_)),
-            dtype=np.float64,
-        )
-
-    def fit_transform(self, documents: Iterable[str]) -> sparse.csr_matrix:
-        docs = list(documents)
-        return self.fit(docs).transform(docs)
+            for j, v in zip(row_idx, row_val):
+                out[i, j] = v / norm
+        return out
 
     def feature_names(self) -> list[str]:
         if self.vocabulary_ is None:

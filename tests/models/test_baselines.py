@@ -10,6 +10,7 @@ import pytest
 from repro import perf
 from repro.boosting import GBMParams
 from repro.core.errors import ModelError, NotFittedError
+from repro.experiments.ablations import _DimensionOnlyXGBoost
 from repro.models import (
     TABLE3_ORDER,
     HiGRU,
@@ -150,3 +151,25 @@ class TestNeuralSpecifics:
         first = a.predict(test)
         second = a.predict(test)
         assert (first == second).all()
+
+
+@pytest.mark.parametrize("name", [
+    *TABLE3_ORDER, "logreg",
+    "xgboost[time]", "xgboost[sequence]", "xgboost[text]",
+])
+def test_predict_is_argmax_of_predict_proba(name, small_splits):
+    """Labels and probabilities come from the same features: the serving
+    engine scores with ``predict_proba``, the tables with ``predict``.
+    A feature-dimension ablation model must score probabilities on its
+    own dimension's columns, the ones its booster was fitted on."""
+    if name.startswith("xgboost["):
+        model = _DimensionOnlyXGBoost(name[len("xgboost["):-1])
+    elif name == "logreg":
+        model = create_model(name)
+    else:
+        model = tiny_model(name)
+    model.fit(small_splits.train, small_splits.validation)
+    windows = small_splits.test
+    np.testing.assert_array_equal(
+        model.predict(windows), model.predict_proba(windows).argmax(axis=1)
+    )

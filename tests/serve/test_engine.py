@@ -9,7 +9,9 @@ import pytest
 
 from repro import perf
 from repro.core.errors import ModelError
+from repro.core.schema import NUM_CLASSES
 from repro.models import create_model
+from repro.models.base import RiskModel
 from repro.serve import EngineConfig, InferenceEngine
 from repro.serve.engine import RequestTiming
 
@@ -145,7 +147,9 @@ class TestTracing:
         wait = snap["observations"]["serve.request.queue_wait_seconds"]
         assert wait["hist"]["count"] == 4
         assert "serve.queue_depth" in snap["gauges"]
-        assert "serve.in_flight_batches" in snap["gauges"]
+        counters = snap["counters"]
+        assert counters["serve.batched_items"] == 4
+        assert snap["spans"]["serve.batch"]["calls"] == counters["serve.batches"]
         perf.reset()
 
     def test_failed_batch_still_observes_each_request(self, fitted_logreg):
@@ -158,6 +162,65 @@ class TestTracing:
         perf.reset()
         assert lat["hist"]["count"] == 1
         assert future.trace.total_s >= future.trace.queue_wait_s > 0.0
+
+
+class GatedModel(RiskModel):
+    """Scores every window uniformly. Its first batch runs until
+    ``release`` is set; every later batch sleeps ``delay_s``. Records
+    each batch's (size, start, end)."""
+
+    name = "gated"
+
+    def __init__(self, delay_s: float) -> None:
+        super().__init__()
+        self._fitted = True
+        self.delay_s = delay_s
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.batches: list[tuple[int, float, float]] = []
+
+    def _fit(self, train, validation):
+        pass
+
+    def _predict(self, windows):
+        return np.zeros(len(windows), dtype=np.int64)
+
+    def _predict_proba(self, windows):
+        start = time.perf_counter()
+        if not self.started.is_set():
+            self.started.set()
+            self.release.wait(timeout=10.0)
+        else:
+            time.sleep(self.delay_s)
+        self.batches.append((len(windows), start, time.perf_counter()))
+        return np.full((len(windows), NUM_CLASSES), 1.0 / NUM_CLASSES)
+
+
+def test_requests_queued_behind_a_batch_run_together_next():
+    """Requests that queue while a batch runs go out as one batch right
+    after it, however far apart they arrived: none waits longer than the
+    running batch, plus ``max_wait_s``, plus its own batch."""
+    model = GatedModel(delay_s=0.05)
+    config = EngineConfig(max_batch_size=32, max_wait_s=0.01)
+    with InferenceEngine(model, config) as eng:
+        first = eng.submit("w0")
+        assert model.started.wait(timeout=10.0)
+        queued = []
+        for i in range(4):
+            queued.append(eng.submit(f"w{i + 1}"))
+            time.sleep(3 * config.max_wait_s)  # beyond the last one's max_wait
+        model.release.set()
+        for future in [first, *queued]:
+            future.result(timeout=10.0)
+    assert [size for size, _, _ in model.batches] == [1, 4]
+    (_, start0, end0), (_, start1, end1) = model.batches
+    bound = (end0 - start0) + config.max_wait_s + (end1 - start1)
+    for future in queued:
+        timing = future.trace
+        assert timing.total_s <= bound + 0.05
+        # The wait behind the running batch counts as queue wait.
+        assert timing.dispatched >= end0
+        assert timing.queue_wait_s >= end0 - timing.enqueued
 
 
 def test_submit_racing_close_resolves(fitted_logreg, small_splits):

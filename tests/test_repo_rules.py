@@ -1,4 +1,4 @@
-"""Three repo rules that guard what the release promises, as plain AST checks.
+"""Four repo rules that guard what the release promises, as plain AST checks.
 
 * RNG: a fixed seed gives a bitwise-identical build only if every draw
   comes from an explicit ``np.random.Generator`` (or ``random.Random``).
@@ -10,6 +10,9 @@
 * Spawner: only ``SPAWNER`` imports ``multiprocessing`` or a process
   pool, so every worker process is spawned (never forked under a
   threaded parent) with its BLAS threads capped.
+* Dependencies: modules under ``src/`` import only the standard library,
+  numpy and ``repro`` itself, so the package installs with numpy alone
+  and no process pays for a library it does not need.
 
 All run on the repo and on planted trees, so a blind check fails too.
 """
@@ -17,6 +20,7 @@ All run on the repo and on planted trees, so a blind check fails too.
 from __future__ import annotations
 
 import ast
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -27,6 +31,8 @@ REPO = THIS.parents[1]
 RNG_DIRS = ("src", "tests", "scripts", "examples")
 MARKER = "_reference"
 SPAWNER = Path("src/repro/core/workers.py")
+#: Top-level packages a ``src/`` module may import.
+ALLOWED_IMPORTS = frozenset(sys.stdlib_module_names) | {"numpy", "repro"}
 
 #: numpy.random attributes that touch the hidden global RandomState.
 NUMPY_LEGACY = {
@@ -168,6 +174,32 @@ def spawner_findings(root: Path) -> list[str]:
     ]
 
 
+def foreign_imports(source: str) -> list[str]:
+    """``"<line>: <module>"`` for every absolute import of a top-level
+    package outside ``ALLOWED_IMPORTS``; relative imports stay in repro."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{node.lineno}: {module}" for module in modules
+            if module.split(".")[0] not in ALLOWED_IMPORTS
+        ]
+    return found
+
+
+def dependency_findings(root: Path) -> list[str]:
+    return [
+        f"{path.relative_to(root)}:{use}"
+        for path in python_files(root / "src")
+        for use in foreign_imports(path.read_text(encoding="utf-8"))
+    ]
+
+
 def plant(root: Path, files: dict[str, str]) -> Path:
     for relpath, source in files.items():
         path = root / relpath
@@ -191,6 +223,11 @@ def test_repo_references_keep_twin_and_test():
 def test_repo_spawns_processes_in_one_module():
     assert process_pool_imports((REPO / SPAWNER).read_text(encoding="utf-8"))
     assert spawner_findings(REPO) == []
+
+
+def test_repo_imports_only_stdlib_numpy_and_itself():
+    assert python_files(REPO / "src")
+    assert dependency_findings(REPO) == []
 
 
 # -- RNG discipline on planted trees -------------------------------------------
@@ -316,3 +353,28 @@ def test_second_spawner_is_caught(tmp_path, source):
 ], ids=["futures-without-processes", "future-attribute", "the-spawner", "tests"])
 def test_one_spawner_passes(tmp_path, files):
     assert spawner_findings(plant(tmp_path, files)) == []
+
+
+# -- dependencies on planted trees ---------------------------------------------
+
+
+@pytest.mark.parametrize("source, finding", [
+    ("import scipy.sparse\n", "1: scipy.sparse"),
+    ("import numpy as np\nfrom scipy import sparse\n", "2: scipy"),
+    ("def f():\n    import pandas\n    return pandas\n", "2: pandas"),
+], ids=["import-submodule", "from-import", "late-import"])
+def test_third_party_import_is_caught(tmp_path, source, finding):
+    plant(tmp_path, {"src/repro/text/tfidf.py": source})
+    assert dependency_findings(tmp_path) == [f"src/repro/text/tfidf.py:{finding}"]
+
+
+@pytest.mark.parametrize("files", [
+    {"src/repro/core/rng.py": "import numpy.random\n"},
+    {"src/repro/core/io.py": "from __future__ import annotations\nimport json\n"
+     "from collections.abc import Iterable\n"},
+    {"src/repro/text/tfidf.py": "from . import tokenizer\nfrom .stats import x\n"
+     "from repro.core.errors import NotFittedError\n"},
+    {"tests/test_tfidf.py": "import scipy.sparse\n"},
+], ids=["numpy-submodule", "stdlib", "relative-and-repro", "tests"])
+def test_stdlib_numpy_and_repro_pass(tmp_path, files):
+    assert dependency_findings(plant(tmp_path, files)) == []

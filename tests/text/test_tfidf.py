@@ -49,14 +49,16 @@ class TestFit:
 
 class TestTransform:
     def test_rows_are_unit_norm(self):
-        matrix = TfidfVectorizer(min_df=1).fit_transform(DOCS).toarray()
+        matrix = TfidfVectorizer(min_df=1).fit(DOCS).transform(DOCS)
         norms = np.linalg.norm(matrix, axis=1)
         nonzero = norms > 0
         assert np.allclose(norms[nonzero], 1.0)
 
     def test_shape(self):
         vec = TfidfVectorizer(min_df=1)
-        matrix = vec.fit_transform(DOCS)
+        matrix = vec.fit(DOCS).transform(DOCS)
+        assert isinstance(matrix, np.ndarray)
+        assert matrix.dtype == np.float64
         assert matrix.shape == (len(DOCS), len(vec.vocabulary_))
 
     def test_manual_idf_value(self):
@@ -68,7 +70,7 @@ class TestTransform:
 
     def test_unseen_terms_ignored(self):
         vec = TfidfVectorizer(min_df=1).fit(DOCS)
-        row = vec.transform(["zebra quagga"]).toarray()
+        row = vec.transform(["zebra quagga"])
         assert row.sum() == 0.0
 
     def test_bigrams(self):
@@ -89,6 +91,6 @@ class TestTransform:
             min_df=1, max_df=1.0, drop_stopwords=False, sublinear_tf=True
         )
         vec.fit(["word word word word other", "unrelated text"])
-        dense = vec.transform(["word word word word other"]).toarray()[0]
+        dense = vec.transform(["word word word word other"])[0]
         ratio = dense[vec.vocabulary_["word"]] / dense[vec.vocabulary_["other"]]
         assert ratio < 4.0
